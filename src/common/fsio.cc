@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <shared_mutex>
 #include <system_error>
 #include <utility>
 
@@ -24,6 +25,11 @@ namespace {
 std::atomic<long long> g_write_fault_budget{-1};
 std::atomic<bool> g_commit_fault{false};
 std::atomic<bool> g_sync_fault{false};
+
+/// Every step that changes a file's name or bytes holds this shared for
+/// its syscall; DurabilityFreezeForTesting holds it exclusively.
+std::shared_mutex g_durability_steps;
+using StepLock = std::shared_lock<std::shared_mutex>;
 
 /// Returns how many of \p size bytes the fault budget allows (all of them
 /// when injection is disabled) and burns the budget.
@@ -60,6 +66,7 @@ std::string ParentDir(const std::string& path) {
 /// Full-write loop: write(2) may be short on signals/pipes.
 Status WriteAll(int fd, const uint8_t* data, size_t size,
                 const std::string& path) {
+  const StepLock step(g_durability_steps);
   const size_t allowed = AllowedBytes(size);
   size_t done = 0;
   while (done < allowed) {
@@ -103,6 +110,14 @@ void SetSyncFaultForTesting(bool fail) {
   g_sync_fault.store(fail, std::memory_order_relaxed);
 }
 
+DurabilityFreezeForTesting::DurabilityFreezeForTesting() {
+  g_durability_steps.lock();
+}
+
+DurabilityFreezeForTesting::~DurabilityFreezeForTesting() {
+  g_durability_steps.unlock();
+}
+
 Status SyncDirectory(const std::string& dir) {
 #ifdef PPQ_FSIO_POSIX
   const int fd = ::open(dir.c_str(), O_RDONLY);
@@ -118,8 +133,19 @@ Status SyncDirectory(const std::string& dir) {
 }
 
 Status RenameFile(const std::string& from, const std::string& to) {
+  const StepLock step(g_durability_steps);
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     return ErrnoError("rename failed", from + " -> " + to);
+  }
+  return Status::OK();
+}
+
+Status RemoveFile(const std::string& path) {
+  const StepLock step(g_durability_steps);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  if (ec) {
+    return Status::IOError("cannot remove " + path + ": " + ec.message());
   }
   return Status::OK();
 }
@@ -138,6 +164,7 @@ Result<std::vector<uint8_t>> ReadAllBytes(const std::string& path) {
 }
 
 Status TruncateFile(const std::string& path, uint64_t size) {
+  const StepLock step(g_durability_steps);
 #ifdef PPQ_FSIO_POSIX
   const int fd = ::open(path.c_str(), O_WRONLY);
   if (fd < 0) return ErrnoError("cannot open for truncation", path);
@@ -223,11 +250,12 @@ void AtomicFileWriter::Abandon() {
   if (fd_ >= 0) ::close(fd_);
 #endif
   fd_ = -1;
-  std::remove(tmp_path_.c_str());
+  (void)RemoveFile(tmp_path_);
 }
 
 Status AtomicFileWriter::Open() {
 #ifdef PPQ_FSIO_POSIX
+  const StepLock step(g_durability_steps);
   fd_ = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) return ErrnoError("cannot open for writing", tmp_path_);
   return Status::OK();
@@ -265,14 +293,14 @@ Status AtomicFileWriter::Commit() {
   const bool close_failed = ::close(fd_) != 0;
   fd_ = -1;
   if (close_failed || g_commit_fault.exchange(false)) {
-    std::remove(tmp_path_.c_str());
+    (void)RemoveFile(tmp_path_);
     return close_failed ? ErrnoError("close failed", tmp_path_)
                         : Status::IOError("close failed (injected fault): " +
                                           tmp_path_);
   }
   Status status = RenameFile(tmp_path_, path_);
   if (!status.ok()) {
-    std::remove(tmp_path_.c_str());
+    (void)RemoveFile(tmp_path_);
     return status;
   }
   status = SyncDirectory(ParentDir(path_));
@@ -304,6 +332,7 @@ LogFile::~LogFile() {
 Status LogFile::Open(const std::string& path, bool truncate) {
 #ifdef PPQ_FSIO_POSIX
   if (fd_ >= 0) return Status::IOError("LogFile: already open");
+  const StepLock step(g_durability_steps);
   const int flags = O_WRONLY | O_CREAT | O_APPEND | (truncate ? O_TRUNC : 0);
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) return ErrnoError("cannot open log", path);

@@ -20,9 +20,9 @@
 ///     removed by the destructor (or ignored by readers after a crash).
 ///   - LogFile: an append-only fd with an explicit Datasync() — the
 ///     group-commit primitive under repo::WriteAheadLog.
-///   - SyncDirectory / RenameFile / ReadAllBytes: the POSIX shims the two
-///     classes are built from, exported for the callers (log rotation)
-///     that need the pieces individually.
+///   - SyncDirectory / RenameFile / RemoveFile / ReadAllBytes: the POSIX
+///     shims the two classes are built from, exported for the callers
+///     (log rotation, recovery) that need the pieces individually.
 ///
 /// On non-POSIX builds the shims degrade to the C++ standard library
 /// without durability barriers (documented best-effort; every supported
@@ -32,7 +32,9 @@
 /// writes start failing after N more bytes, and
 /// SetCommitFaultForTesting(true) makes the next AtomicFileWriter::Commit
 /// fail its close-flush — simulating torn writes and ENOSPC-at-close
-/// without a real full disk. Not for production code paths.
+/// without a real full disk. DurabilityFreezeForTesting holds every step
+/// that changes a file's name or bytes, so a test can copy a live
+/// directory as it stood at one instant. Not for production code paths.
 
 namespace ppq {
 
@@ -44,6 +46,9 @@ Status SyncDirectory(const std::string& dir);
 /// Callers that need the new name to be crash-durable follow up with
 /// SyncDirectory on the parent.
 Status RenameFile(const std::string& from, const std::string& to);
+
+/// unlink(2) \p path; a file that is already gone is not an error.
+Status RemoveFile(const std::string& path);
 
 /// Slurp a whole file. IOError when missing/unreadable.
 Result<std::vector<uint8_t>> ReadAllBytes(const std::string& path);
@@ -166,5 +171,25 @@ void SetCommitFaultForTesting(bool fail);
 /// inside Close) fails with an injected IOError — simulating a dying
 /// disk under the WAL group-commit barrier. Global; tests must reset it.
 void SetSyncFaultForTesting(bool fail);
+
+/// \brief Test hook: while one lives, every step that changes a file's
+/// name or bytes — the creating open, write and rename of
+/// AtomicFileWriter and LogFile, RenameFile, RemoveFile and TruncateFile —
+/// waits before it starts; constructing one waits for the steps already
+/// running. A copy of a live repository directory taken under it is the
+/// directory as it stood at one instant between two steps, which a crash
+/// can leave (with every write already flushed), instead of a mix of
+/// states from before and after a background seal's renames.
+/// Process-wide; do not nest, and run no durability step on the holding
+/// thread.
+class DurabilityFreezeForTesting {
+ public:
+  DurabilityFreezeForTesting();
+  ~DurabilityFreezeForTesting();
+
+  DurabilityFreezeForTesting(const DurabilityFreezeForTesting&) = delete;
+  DurabilityFreezeForTesting& operator=(const DurabilityFreezeForTesting&) =
+      delete;
+};
 
 }  // namespace ppq

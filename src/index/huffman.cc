@@ -132,36 +132,36 @@ Result<HuffmanTable> HuffmanTable::LoadFrom(ByteReader* in) {
   return table;
 }
 
-void CompressedIdList::SaveTo(ByteWriter* out) const {
+void WriteCompressedIds(uint32_t count, uint32_t bit_count,
+                        const uint8_t* bytes, ByteWriter* out) {
   out->WriteU32(count);
   out->WriteU32(bit_count);
-  out->WriteBytes(bytes.data(), bytes.size());
+  out->WriteBytes(bytes, (size_t{bit_count} + 7) / 8);
 }
 
-Result<CompressedIdList> CompressedIdList::LoadFrom(ByteReader* in) {
-  CompressedIdList list;
-  auto count = in->ReadU32();
-  if (!count.ok()) return count.status();
-  auto bit_count = in->ReadU32();
-  if (!bit_count.ok()) return bit_count.status();
+Status ReadCompressedIds(ByteReader* in, uint32_t* count,
+                         uint32_t* bit_count, std::vector<uint8_t>* bytes) {
+  auto stored_count = in->ReadU32();
+  if (!stored_count.ok()) return stored_count.status();
+  auto stored_bits = in->ReadU32();
+  if (!stored_bits.ok()) return stored_bits.status();
   // Every encoded id consumes at least one bit, so a count beyond
   // bit_count is forged (and would make DecompressIds over-reserve).
-  if (*count > *bit_count) {
+  if (*stored_count > *stored_bits) {
     return Status::Invalid("CompressedIdList: count exceeds bit count");
   }
   // 64-bit on purpose: (bit_count + 7) wraps to 0 in uint32 for forged
   // values near UINT32_MAX, which would slip past the payload bound below
   // and leave a bit_count with no bytes behind it (OOB reads at decode).
-  const size_t byte_len =
-      static_cast<size_t>((uint64_t{*bit_count} + 7) / 8);
+  const uint64_t byte_len = (uint64_t{*stored_bits} + 7) / 8;
   if (byte_len > in->Remaining()) {
     return Status::Invalid("CompressedIdList: payload exceeds buffer");
   }
-  list.count = *count;
-  list.bit_count = *bit_count;
-  list.bytes.resize(byte_len);
-  PPQ_RETURN_NOT_OK(in->ReadBytes(list.bytes.data(), byte_len));
-  return list;
+  *count = *stored_count;
+  *bit_count = *stored_bits;
+  const size_t offset = bytes->size();
+  bytes->resize(offset + static_cast<size_t>(byte_len));
+  return in->ReadBytes(bytes->data() + offset, static_cast<size_t>(byte_len));
 }
 
 Status HuffmanTable::Encode(uint32_t symbol, BitWriter* writer) const {
@@ -216,23 +216,36 @@ Result<CompressedIdList> CompressIds(const std::vector<int32_t>& sorted_ids,
 
 Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
                                            const HuffmanTable& table) {
-  BitReader reader(list.bytes.data(), list.bit_count);
   std::vector<int32_t> ids;
   ids.reserve(list.count);
+  PPQ_RETURN_NOT_OK(DecompressIdsInto(list.bytes.data(), list.bit_count,
+                                      list.count, table, &ids));
+  return ids;
+}
+
+Status DecompressIdsInto(const uint8_t* bytes, uint32_t bit_count,
+                         uint32_t count, const HuffmanTable& table,
+                         std::vector<int32_t>* out) {
+  BitReader reader(bytes, bit_count);
+  const size_t rollback = out->size();
   // Accumulate in 64-bit and bound-check: CompressIds only ever emits
   // deltas in [0, INT32_MAX], so an id walking past int32 range means a
   // forged table/list — adding it in int32 would be signed-overflow UB.
   int64_t previous = 0;
-  for (uint32_t i = 0; i < list.count; ++i) {
+  for (uint32_t i = 0; i < count; ++i) {
     auto delta = table.Decode(&reader);
-    if (!delta.ok()) return delta.status();
+    if (!delta.ok()) {
+      out->resize(rollback);
+      return delta.status();
+    }
     previous += static_cast<int64_t>(*delta);
     if (previous > std::numeric_limits<int32_t>::max()) {
+      out->resize(rollback);
       return Status::Invalid("DecompressIds: id overflows int32");
     }
-    ids.push_back(static_cast<int32_t>(previous));
+    out->push_back(static_cast<int32_t>(previous));
   }
-  return ids;
+  return Status::OK();
 }
 
 void AccumulateDeltaFrequencies(

@@ -75,15 +75,22 @@ class HuffmanTable {
 
 /// \brief Delta + Huffman compressed representation of a sorted ID list.
 struct CompressedIdList {
-  std::vector<uint8_t> bytes;
+  std::vector<uint8_t> bytes;  ///< (bit_count + 7) / 8 bytes
   uint32_t bit_count = 0;
   uint32_t count = 0;
-
-  size_t SizeBytes() const { return bytes.size() + sizeof(bit_count) + sizeof(count); }
-
-  void SaveTo(ByteWriter* out) const;
-  static Result<CompressedIdList> LoadFrom(ByteReader* in);
 };
+
+/// Append a packed id list in its serialized form: u32 \p count, u32
+/// \p bit_count, then the (bit_count + 7) / 8 bytes at \p bytes.
+void WriteCompressedIds(uint32_t count, uint32_t bit_count,
+                        const uint8_t* bytes, ByteWriter* out);
+
+/// Inverse of WriteCompressedIds, appending the payload to \p bytes.
+/// The header is checked before anything is appended: a count beyond
+/// bit_count is forged (every id takes at least one bit), and the payload
+/// must be in \p in.
+Status ReadCompressedIds(ByteReader* in, uint32_t* count,
+                         uint32_t* bit_count, std::vector<uint8_t>* bytes);
 
 /// Delta-encode \p sorted_ids (ascending; the first entry is stored as a
 /// delta from zero) and Huffman-code the deltas with \p table.
@@ -93,6 +100,13 @@ Result<CompressedIdList> CompressIds(const std::vector<int32_t>& sorted_ids,
 /// Inverse of CompressIds.
 Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
                                            const HuffmanTable& table);
+
+/// Decode the \p count ids packed in the first \p bit_count bits at
+/// \p bytes and append them to \p out, the caller's scratch. On a
+/// malformed list \p out is left as it was.
+Status DecompressIdsInto(const uint8_t* bytes, uint32_t bit_count,
+                         uint32_t count, const HuffmanTable& table,
+                         std::vector<int32_t>* out);
 
 /// Accumulate the delta frequencies of \p sorted_ids into \p frequencies,
 /// for building a shared table over many lists.

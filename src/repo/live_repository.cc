@@ -620,11 +620,10 @@ Status LiveRepository::RecoverShard(uint32_t index, core::SnapshotPtr base) {
     if (active_valid_bytes < kWalHeaderBytes) {
       // The create never landed (zero-byte or sub-header crash image): no
       // record can have committed, so there is nothing worth retiring.
-      std::error_code remove_ec;
-      fs::remove(active, remove_ec);
-      if (remove_ec) {
-        return Status::IOError("cannot remove torn wal create: " + active +
-                               ": " + remove_ec.message());
+      const Status removed = RemoveFile(active);
+      if (!removed.ok()) {
+        return Status::IOError("cannot remove torn wal create: " +
+                               removed.message());
       }
     } else {
       if (active_torn) {
@@ -680,8 +679,7 @@ Result<std::shared_ptr<LiveRepository>> LiveRepository::Open(
   if (!ec) {
     for (const auto& entry : it) {
       if (entry.path().extension() == ".tmp") {
-        std::error_code remove_ec;
-        fs::remove(entry.path(), remove_ec);
+        (void)RemoveFile(entry.path().string());
       }
     }
   }

@@ -203,10 +203,10 @@ Status RepositorySnapshot::Save(const std::string& dir,
   // whose stale manifest stitches shard containers from two different
   // seals into a "valid" mixed repository.
   const std::string manifest_path = dir + "/" + kManifestFileName;
-  std::filesystem::remove(manifest_path, ec);
-  if (ec) {
-    return Status::IOError("cannot invalidate previous manifest " +
-                           manifest_path + ": " + ec.message());
+  const Status removed = RemoveFile(manifest_path);
+  if (!removed.ok()) {
+    return Status::IOError("cannot invalidate previous manifest: " +
+                           removed.message());
   }
 
   Manifest manifest;

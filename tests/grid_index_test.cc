@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "index/grid_index.h"
@@ -10,6 +16,132 @@ namespace {
 
 GridIndex MakeUnitGrid(double cell = 0.1) {
   return GridIndex(Rect{0.0, 0.0, 1.0, 1.0}, cell);
+}
+
+std::vector<TrajId> Sorted(std::vector<TrajId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// An independent model of a grid's (cell, tick) lists, built from the
+/// same inserts, that answers QueryCircle with the bounding-box walk the
+/// grid used before its tick-major layout: probe every cell of the
+/// disc's clamped bounding box and keep those whose closest point lies
+/// within the radius.
+class BoundingBoxWalk {
+ public:
+  explicit BoundingBoxWalk(const GridIndex& grid)
+      : region_(grid.region()),
+        cell_(grid.cell_size()),
+        cells_x_(grid.cells_x()),
+        cells_y_(grid.cells_y()) {}
+
+  void Insert(Tick t, TrajId id, const Point& p) {
+    const int cx = Clamp((p.x - region_.min_x) / cell_, cells_x_ - 1);
+    const int cy = Clamp((p.y - region_.min_y) / cell_, cells_y_ - 1);
+    lists_[{static_cast<int64_t>(cy) * cells_x_ + cx, t}].push_back(id);
+  }
+
+  std::vector<TrajId> Circle(const Point& center, double radius,
+                             Tick t) const {
+    std::vector<TrajId> out;
+    const int cx_lo =
+        Clamp((center.x - radius - region_.min_x) / cell_, cells_x_ - 1);
+    const int cx_hi =
+        Clamp((center.x + radius - region_.min_x) / cell_, cells_x_ - 1);
+    const int cy_lo =
+        Clamp((center.y - radius - region_.min_y) / cell_, cells_y_ - 1);
+    const int cy_hi =
+        Clamp((center.y + radius - region_.min_y) / cell_, cells_y_ - 1);
+    for (int cy = cy_lo; cy <= cy_hi; ++cy) {
+      for (int cx = cx_lo; cx <= cx_hi; ++cx) {
+        const double cell_min_x = region_.min_x + cx * cell_;
+        const double cell_min_y = region_.min_y + cy * cell_;
+        const double nearest_x =
+            std::clamp(center.x, cell_min_x, cell_min_x + cell_);
+        const double nearest_y =
+            std::clamp(center.y, cell_min_y, cell_min_y + cell_);
+        const double dx = center.x - nearest_x;
+        const double dy = center.y - nearest_y;
+        if (dx * dx + dy * dy > radius * radius) continue;
+        const auto it =
+            lists_.find({static_cast<int64_t>(cy) * cells_x_ + cx, t});
+        if (it == lists_.end()) continue;
+        out.insert(out.end(), it->second.begin(), it->second.end());
+      }
+    }
+    return out;
+  }
+
+ private:
+  static int Clamp(double cell, int max_index) {
+    if (!(cell > 0.0)) return 0;
+    if (cell >= static_cast<double>(max_index)) return max_index;
+    return static_cast<int>(cell);
+  }
+
+  Rect region_;
+  double cell_;
+  int cells_x_;
+  int cells_y_;
+  std::map<std::pair<int64_t, Tick>, std::vector<TrajId>> lists_;
+};
+
+/// Fill \p grid and \p model alike: several ticks in shuffled order,
+/// repeated (tick, id) pairs, and points on the region's edges, which
+/// clamp into the last row or column when the cell size divides it.
+void FillAlike(GridIndex* grid, BoundingBoxWalk* model, uint64_t seed) {
+  Rng rng(seed);
+  const Point edges[] = {{0.0, 0.0}, {1.0, 1.0}, {1.0, 0.0}, {0.0, 1.0},
+                         {1.0, 0.37}, {0.62, 1.0}};
+  for (int i = 0; i < 600; ++i) {
+    const Tick t = static_cast<Tick>(rng.UniformInt(0, 6));
+    const TrajId id = static_cast<TrajId>(rng.UniformInt(0, 150));
+    const Point p = i % 25 == 0
+                        ? edges[static_cast<size_t>(i / 25) % 6]
+                        : Point{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
+    grid->Insert(t, id, p);
+    model->Insert(t, id, p);
+    if (i % 7 == 0) {  // the same id again, in the same or another cell
+      const Point q = i % 2 == 0 ? p : Point{rng.Uniform(0.0, 1.0), p.y};
+      grid->Insert(t, id, q);
+      model->Insert(t, id, q);
+    }
+  }
+}
+
+/// Random discs near the grid, far away, tiny and huge; every tick
+/// indexed or not.
+void ExpectCirclesMatch(const GridIndex& grid, const BoundingBoxWalk& model,
+                        uint64_t seed, const char* label) {
+  Rng rng(seed);
+  std::vector<std::pair<Point, double>> discs;
+  for (int i = 0; i < 300; ++i) {
+    discs.push_back({{rng.Uniform(-0.5, 1.5), rng.Uniform(-0.5, 1.5)},
+                     std::pow(10.0, rng.Uniform(-4.0, 0.5))});
+  }
+  discs.push_back({{1e6, -1e6}, 1.0});
+  discs.push_back({{1e6, -1e6}, 2e6});
+  discs.push_back({{-1e300, 1e300}, 1e280});
+  discs.push_back({{0.5, 0.5}, 1e6});
+  discs.push_back({{0.5, 0.5}, 1e300});  // radius squared overflows
+  discs.push_back({{1.0, 1.0}, 0.0});
+  for (const auto& [center, radius] : discs) {
+    for (Tick t = -1; t <= 7; ++t) {
+      std::vector<TrajId> got;
+      grid.QueryCircle(center, radius, t, &got);
+      ASSERT_EQ(Sorted(got), Sorted(model.Circle(center, radius, t)))
+          << label << ": centre (" << center.x << ", " << center.y
+          << ") radius " << radius << " tick " << t;
+    }
+  }
+}
+
+/// The cell-major bytes of \p grid.
+std::vector<uint8_t> Saved(const GridIndex& grid) {
+  ByteWriter out;
+  grid.SaveTo(&out);
+  return out.buffer();
 }
 
 TEST(GridIndexTest, CellCounts) {
@@ -122,6 +254,49 @@ TEST(GridIndexTest, QueryCircleMatchesBruteForce) {
   }
 }
 
+TEST(GridIndexTest, QueryCircleEqualsBoundingBoxWalk) {
+  // Exact equality (as a multiset) with the old scan, on raw and
+  // finalized grids, for a cell size that divides the region (edge
+  // points clamp) and one that does not.
+  for (const double cell : {0.125, 0.07}) {
+    GridIndex grid = MakeUnitGrid(cell);
+    BoundingBoxWalk model(grid);
+    FillAlike(&grid, &model, 41);
+    ExpectCirclesMatch(grid, model, 5, "raw");
+    grid.Finalize();
+    ExpectCirclesMatch(grid, model, 6, "finalized");
+  }
+}
+
+TEST(GridIndexTest, SaveLoadSaveIsByteIdentical) {
+  for (const bool finalize : {false, true}) {
+    GridIndex grid = MakeUnitGrid(0.07);
+    BoundingBoxWalk model(grid);
+    FillAlike(&grid, &model, 8);
+    if (finalize) grid.Finalize();
+    const std::vector<uint8_t> bytes = Saved(grid);
+    ByteReader in(bytes);
+    auto loaded = GridIndex::LoadFrom(&in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(in.AtEnd());
+    EXPECT_EQ(loaded->finalized(), finalize);
+    EXPECT_TRUE(Saved(*loaded) == bytes) << "finalized=" << finalize;
+    EXPECT_EQ(loaded->SizeBytes(), grid.SizeBytes());
+    for (Tick t = 0; t <= 6; ++t) EXPECT_EQ(loaded->CountAt(t), grid.CountAt(t));
+    ExpectCirclesMatch(*loaded, model, 12, "loaded");
+  }
+}
+
+TEST(GridIndexTest, InsertBelongsBeforeFinalize) {
+  GridIndex g = MakeUnitGrid();
+  g.Insert(0, 1, {0.5, 0.5});
+  g.Finalize();
+  // Debug builds assert; release builds drop the id.
+  EXPECT_DEBUG_DEATH(g.Insert(0, 2, {0.5, 0.5}), "Insert after Finalize");
+  EXPECT_EQ(g.CountAt(0), 1u);
+  EXPECT_EQ(g.Query({0.5, 0.5}, 0), (std::vector<TrajId>{1}));
+}
+
 TEST(GridIndexTest, SizeBytesGrowsWithContent) {
   GridIndex g = MakeUnitGrid();
   const size_t empty = g.SizeBytes();
@@ -147,6 +322,153 @@ TEST(GridIndexTest, ForgedCellProductIsRejectedAtLoad) {
   const auto grid = GridIndex::LoadFrom(&in);
   ASSERT_FALSE(grid.ok());
   EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// A (tick, ids) list of a forged cell.
+using ForgedList = std::pair<Tick, std::vector<TrajId>>;
+
+/// Bytes of a forged unit grid (gc = 0.1, so 100 cells) in the format
+/// SaveTo writes, with an empty Huffman table: per-tick counts, then
+/// cells of raw lists and of packed lists (ids written as one byte each,
+/// never decoded).
+std::vector<uint8_t> ForgedGrid(
+    bool finalized, const std::vector<std::pair<Tick, uint64_t>>& counts,
+    const std::vector<std::tuple<uint64_t, std::vector<ForgedList>,
+                                 std::vector<ForgedList>>>& cells) {
+  ByteWriter out;
+  out.WriteF64(0.0);
+  out.WriteF64(0.0);
+  out.WriteF64(1.0);
+  out.WriteF64(1.0);
+  out.WriteF64(0.1);
+  out.WriteU8(finalized ? 1 : 0);
+  out.WriteU32(0);  // empty huffman table
+  out.WriteU64(counts.size());
+  for (const auto& [tick, count] : counts) {
+    out.WriteI32(tick);
+    out.WriteU64(count);
+  }
+  out.WriteU64(cells.size());
+  for (const auto& [key, raw, packed] : cells) {
+    out.WriteU64(key);
+    out.WriteU64(raw.size());
+    for (const auto& [tick, ids] : raw) {
+      out.WriteI32(tick);
+      out.WriteU64(ids.size());
+      for (const TrajId id : ids) out.WriteI32(id);
+    }
+    out.WriteU64(packed.size());
+    for (const auto& [tick, ids] : packed) {
+      out.WriteI32(tick);
+      out.WriteU32(static_cast<uint32_t>(ids.size()));
+      out.WriteU32(static_cast<uint32_t>(8 * ids.size()));
+      for (const TrajId id : ids) out.WriteU8(static_cast<uint8_t>(id));
+    }
+  }
+  return out.buffer();
+}
+
+Status LoadStatus(const std::vector<uint8_t>& bytes) {
+  ByteReader in(bytes);
+  return GridIndex::LoadFrom(&in).status();
+}
+
+/// Forged bytes that break one rule of SaveTo's output, beside a control
+/// that differs only in keeping it. \p reason is part of the message of
+/// the check that must reject the forgery.
+struct Forgery {
+  const char* name;
+  const char* reason;
+  std::vector<uint8_t> control;
+  std::vector<uint8_t> forged;
+};
+
+TEST(GridIndexTest, ForgedGridsAreRejectedAtLoad) {
+  const std::vector<ForgedList> one{{0, {1}}};
+  std::vector<TrajId> sixty(60);
+  for (size_t i = 0; i < sixty.size(); ++i) sixty[i] = static_cast<TrajId>(i);
+  // 100 + (2^64 - 51) wraps to 49 in uint64: the sum would size a raw
+  // array of 49 while tick 1 began at 100.
+  const uint64_t wraps = ~uint64_t{0} - 50;
+  const std::vector<Forgery> forgeries = {
+      {"cell keys descending", "cell keys not ascending",
+       ForgedGrid(false, {{0, 2}}, {{3, one, {}}, {5, one, {}}}),
+       ForgedGrid(false, {{0, 2}}, {{5, one, {}}, {3, one, {}}})},
+      {"cell key repeated", "cell keys not ascending",
+       ForgedGrid(false, {{0, 1}, {1, 1}},
+                  {{3, {{0, {1}}}, {}}, {5, {{1, {1}}}, {}}}),
+       ForgedGrid(false, {{0, 1}, {1, 1}},
+                  {{3, {{0, {1}}}, {}}, {3, {{1, {1}}}, {}}})},
+      {"cell key beyond the grid", "in range",
+       ForgedGrid(false, {{0, 1}}, {{99, one, {}}}),
+       ForgedGrid(false, {{0, 1}}, {{100, one, {}}})},
+      {"raw list in a finalized grid", "raw list in a finalized grid",
+       ForgedGrid(false, {{0, 1}}, {{7, {{0, {4}}}, {}}}),
+       ForgedGrid(true, {{0, 1}}, {{7, {{0, {4}}}, {}}})},
+      {"packed list in a raw grid", "packed list in a raw grid",
+       ForgedGrid(true, {{0, 1}}, {{7, {}, {{0, {4}}}}}),
+       ForgedGrid(false, {{0, 1}}, {{7, {}, {{0, {4}}}}})},
+      {"(cell, tick) repeated", "cell ticks repeated",
+       ForgedGrid(false, {{0, 1}, {1, 1}}, {{7, {{0, {4}}, {1, {5}}}, {}}}),
+       ForgedGrid(false, {{0, 2}}, {{7, {{0, {4}}, {0, {5}}}, {}}})},
+      {"cell ticks descending", "cell ticks repeated or unsorted",
+       ForgedGrid(true, {{0, 1}, {1, 1}}, {{7, {}, {{0, {4}}, {1, {5}}}}}),
+       ForgedGrid(true, {{0, 1}, {1, 1}}, {{7, {}, {{1, {5}}, {0, {4}}}}})},
+      {"tick count of zero", "tick counts not ascending or empty",
+       ForgedGrid(false, {{1, 1}}, {{7, {{1, {4}}}, {}}}),
+       ForgedGrid(false, {{0, 0}, {1, 1}}, {{7, {{1, {4}}}, {}}})},
+      {"tick counts descending", "tick counts not ascending",
+       ForgedGrid(false, {{0, 1}, {1, 1}}, {{3, one, {}}, {5, {{1, {2}}}, {}}}),
+       ForgedGrid(false, {{1, 1}, {0, 1}}, {{3, one, {}}, {5, {{1, {2}}}, {}}})},
+      {"tick count repeated", "tick counts not ascending",
+       ForgedGrid(false, {{0, 2}}, {{3, one, {}}, {5, one, {}}}),
+       ForgedGrid(false, {{0, 1}, {0, 1}}, {{3, one, {}}, {5, one, {}}})},
+      {"list at an uncounted tick", "uncounted tick",
+       ForgedGrid(false, {{0, 1}, {2, 1}}, {{3, one, {}}, {5, {{2, {2}}}, {}}}),
+       ForgedGrid(false, {{0, 1}, {2, 1}}, {{3, one, {}}, {5, {{1, {2}}}, {}}})},
+      {"empty raw list", "empty list",
+       ForgedGrid(false, {{0, 1}}, {{8, {{0, {4}}}, {}}}),
+       ForgedGrid(false, {{0, 1}}, {{7, {{0, {}}}, {}}, {8, {{0, {4}}}, {}}})},
+      {"empty packed list", "empty list",
+       ForgedGrid(true, {{0, 1}}, {{8, {}, {{0, {4}}}}}),
+       ForgedGrid(true, {{0, 1}}, {{7, {}, {{0, {}}}}, {8, {}, {{0, {4}}}}})},
+      {"raw ids descending", "raw ids not ascending",
+       ForgedGrid(false, {{0, 3}}, {{7, {{0, {4, 4, 5}}}, {}}}),
+       ForgedGrid(false, {{0, 3}}, {{7, {{0, {4, 5, 4}}}, {}}})},
+      {"raw lists beyond their tick's count", "exceed their tick's count",
+       ForgedGrid(false, {{0, 2}}, {{3, one, {}}, {5, one, {}}}),
+       ForgedGrid(false, {{0, 1}}, {{3, one, {}}, {5, one, {}}})},
+      {"packed list beyond its tick's count", "exceed their tick's count",
+       ForgedGrid(true, {{0, 2}}, {{7, {}, {{0, {4, 5}}}}}),
+       ForgedGrid(true, {{0, 1}}, {{7, {}, {{0, {4, 5}}}}})},
+      {"tick owed ids no list supplies", "tick count exceeds its lists",
+       ForgedGrid(false, {{0, 1}}, {{7, {{0, {4}}}, {}}}),
+       ForgedGrid(false, {{0, 2}}, {{7, {{0, {4}}}, {}}})},
+      {"counted tick with no list", "tick count exceeds its lists",
+       ForgedGrid(true, {{0, 1}, {1, 1}}, {{7, {}, {{0, {4}}, {1, {5}}}}}),
+       ForgedGrid(true, {{0, 1}, {1, 1}}, {{7, {}, {{0, {4}}}}})},
+      {"tick counts beyond the payload", "exceed the payload",
+       ForgedGrid(true, {{0, 1}}, {{7, {}, {{0, {4}}}}}),
+       ForgedGrid(true, {{0, uint64_t{1} << 40}}, {{7, {}, {{0, {4}}}}})},
+      // 20 ids could be packed in what follows the counts, but not raw.
+      {"raw tick counts beyond the payload", "exceed the raw payload",
+       ForgedGrid(false, {{0, 1}}, {{7, {{0, {4}}}, {}}}),
+       ForgedGrid(false, {{0, 20}}, {{7, {{0, {4}}}, {}}})},
+      {"tick counts that wrap", "exceed the payload",
+       ForgedGrid(false, {{0, 60}, {1, 1}},
+                  {{3, {{0, sixty}}, {}}, {5, {{1, {7}}}, {}}}),
+       ForgedGrid(false, {{0, 100}, {1, wraps}},
+                  {{3, {{0, sixty}}, {}}, {5, {{1, {7}}}, {}}})},
+  };
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.name);
+    EXPECT_TRUE(LoadStatus(forgery.control).ok())
+        << LoadStatus(forgery.control).ToString();
+    const Status status = LoadStatus(forgery.forged);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(forgery.reason), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(GridIndexTest, ExtremeCoordinatesDoNotOverflowCellMath) {

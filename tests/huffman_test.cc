@@ -175,11 +175,15 @@ TEST(CompressedIdListIoTest, RoundTripsThroughByteWriter) {
   ASSERT_TRUE(packed.ok());
 
   ByteWriter out;
-  packed->SaveTo(&out);
+  WriteCompressedIds(packed->count, packed->bit_count, packed->bytes.data(),
+                     &out);
   ByteReader in(out.buffer());
-  const auto loaded = CompressedIdList::LoadFrom(&in);
-  ASSERT_TRUE(loaded.ok());
-  const auto unpacked = DecompressIds(*loaded, table);
+  CompressedIdList loaded;
+  ASSERT_TRUE(
+      ReadCompressedIds(&in, &loaded.count, &loaded.bit_count, &loaded.bytes)
+          .ok());
+  EXPECT_TRUE(in.AtEnd());
+  const auto unpacked = DecompressIds(loaded, table);
   ASSERT_TRUE(unpacked.ok());
   EXPECT_EQ(*unpacked, ids);
 }
@@ -214,9 +218,13 @@ TEST(CompressedIdListIoTest, ForgedBitCountNearUint32MaxIsRejected) {
   out.WriteU32(0xFFFFFFFAu);  // count
   out.WriteU32(0xFFFFFFFAu);  // bit_count
   ByteReader in(out.buffer());
-  const auto loaded = CompressedIdList::LoadFrom(&in);
+  uint32_t count = 0;
+  uint32_t bit_count = 0;
+  std::vector<uint8_t> bytes;
+  const Status loaded = ReadCompressedIds(&in, &count, &bit_count, &bytes);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(bytes.empty());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fsio.h"
 #include "common/serial.h"
 #include "core/ppq_trajectory.h"
 #include "obs/metrics.h"
@@ -68,9 +69,14 @@ std::string FreshDir(const char* name) {
 /// The power-loss image: copy the backing directory while the source
 /// repository is still live (no Quiesce, no shutdown, no WAL close).
 /// Recovery must resurrect the copy from whatever on-disk state the
-/// crash instant froze.
+/// crash instant froze. Background seals keep running, but their
+/// renames, unlinks, creates and writes wait while the copy runs, so the
+/// image is the directory at one instant between two durability steps —
+/// a state a crash can leave — never a mix of the states before and
+/// after a WAL rotation or a container commit.
 std::string CrashImage(const std::string& dir, const char* name) {
   const std::string image = FreshDir(name);
+  const DurabilityFreezeForTesting freeze;
   std::error_code ec;
   std::filesystem::copy(dir, image,
                         std::filesystem::copy_options::recursive, ec);

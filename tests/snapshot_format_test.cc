@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -102,9 +103,29 @@ struct GoldenCase {
   double cell_size;
 };
 
+/// GoogleTest puts the printed parameter into every registered test name.
+/// Printed by default, this struct dumps its raw bytes, pointers included,
+/// and those change with the binary's layout and with each process's
+/// address randomization; the fixture's file name is stable.
+void PrintTo(const GoldenCase& test_case, std::ostream* os) {
+  *os << test_case.file;
+}
+
 SnapshotPtr SealPpqA(const TrajectoryDataset& data) {
   auto method = MakeMethod("PPQ-A", PpqOptions{});
   method->Compress(data);
+  return method->Seal();
+}
+
+/// A seal cut halfway, before Finish(): its index is not finalized, so
+/// the container carries raw id lists — the form every live seal writes.
+SnapshotPtr SealPpqAMidStream(const TrajectoryDataset& data) {
+  auto method = MakeMethod("PPQ-A", PpqOptions{});
+  const Tick mid = (data.MinTick() + data.MaxTick()) / 2;
+  for (Tick t = data.MinTick(); t < mid; ++t) {
+    const TimeSlice slice = data.SliceAt(t);
+    if (!slice.empty()) method->ObserveSlice(slice);
+  }
   return method->Seal();
 }
 
@@ -166,9 +187,13 @@ INSTANTIATE_TEST_SUITE_P(
     Fixtures, SnapshotGolden,
     ::testing::Values(GoldenCase{"ppq_a.snapshot", &SealPpqA, 0.001},
                       GoldenCase{"trajstore.snapshot", &SealTrajStore,
-                                 0.001}),
+                                 0.001},
+                      GoldenCase{"ppq_a_midstream.snapshot",
+                                 &SealPpqAMidStream, 0.001}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return info.index == 0 ? "PpqA" : "TrajStore";
+      return info.index == 0   ? "PpqA"
+             : info.index == 1 ? "TrajStore"
+                               : "PpqAMidStream";
     });
 
 // -------------------------------------------------------------------------
