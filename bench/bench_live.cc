@@ -3,7 +3,7 @@
 /// LiveRepository from --ingestors=N concurrent producer threads (default
 /// 2, lockstep per tick so every tick is fully appended before the ingest
 /// frontier advances) while --submitters=N closed-loop threads (default
-/// 4) drive the LiveQueryService with a mixed STRQ / window / k-NN / TPQ
+/// 4) drive a QueryService over it with a mixed STRQ / window / k-NN / TPQ
 /// stream. A request is submitted only once the frontier has reached its
 /// query tick; every exact-mode STRQ and window response is then checked
 /// against QueryEngine ground truth over the FULL dataset — valid mid
@@ -65,7 +65,7 @@
 #include "core/metrics.h"
 #include "core/query_engine.h"
 #include "obs/metrics.h"
-#include "repo/live_query_service.h"
+#include "core/query_service.h"
 #include "repo/live_repository.h"
 
 namespace ppq::bench {
@@ -300,13 +300,11 @@ int RunRecover(const BenchOptions& options, const LiveFlags& flags) {
 
   const auto raw =
       std::make_shared<const TrajectoryDataset>(std::move(bundle.data));
-  repo::LiveQueryService::Options serve_options;
+  core::QueryService::Options serve_options;
   serve_options.num_threads = threads;
   serve_options.raw = raw;
   serve_options.cell_size = cell_size;
-  repo::LiveQueryService service(
-      std::static_pointer_cast<const repo::LiveRepository>(live),
-      serve_options);
+  core::QueryService service(live, serve_options);
 
   // Gate the recovered frontier: exact answers straight out of replay.
   size_t checked = 0;
@@ -422,13 +420,11 @@ int Run(const BenchOptions& options, const LiveFlags& flags,
 
   const auto raw =
       std::make_shared<const TrajectoryDataset>(std::move(bundle.data));
-  repo::LiveQueryService::Options serve_options;
+  core::QueryService::Options serve_options;
   serve_options.num_threads = threads;
   serve_options.raw = raw;
   serve_options.cell_size = cell_size;
-  repo::LiveQueryService service(
-      std::static_pointer_cast<const repo::LiveRepository>(live),
-      serve_options);
+  core::QueryService service(live, serve_options);
 
   // --- Concurrent phase: lockstep ingest vs closed-loop submitters ------
   std::atomic<Tick> frontier{repo::kNoTickYet};

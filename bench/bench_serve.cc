@@ -45,7 +45,6 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/metrics.h"
-#include "core/query_backend.h"
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "obs/metrics.h"
@@ -111,7 +110,7 @@ MixedResults RunSerial(const core::QueryEngine& engine, const Workload& w) {
   return r;
 }
 
-MixedResults RunService(core::QueryBackend& service, const Workload& w) {
+MixedResults RunService(core::QueryService& service, const Workload& w) {
   std::vector<core::QueryRequest> requests;
   requests.reserve(2 * w.strq.size() + w.windows.size() + w.knn.size());
   for (const auto& q : w.strq) {

@@ -3,8 +3,9 @@
 /// hash-partitioned ShardedRepository at --shards=N (default 4) AND at 1
 /// shard, persist the N-shard repository through the manifest
 /// (SaveAll -> OpenRepository, so the timed serving path is the real
-/// cold-open one), and drive both through the scatter-gather
-/// ShardedQueryService with a mixed STRQ / window / k-NN / TPQ workload.
+/// cold-open one), and serve both through QueryService over the
+/// repository's shard seals with a mixed STRQ / window / k-NN / TPQ
+/// workload.
 ///
 /// Three correctness gates run before anything is reported, and the
 /// process exits non-zero if any fails:
@@ -36,10 +37,9 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/metrics.h"
-#include "core/query_backend.h"
 #include "core/query_engine.h"
+#include "core/query_service.h"
 #include "obs/metrics.h"
-#include "repo/sharded_query_service.h"
 #include "repo/sharded_repository.h"
 
 namespace ppq::bench {
@@ -113,9 +113,9 @@ std::unique_ptr<repo::ShardedRepository> BuildRepository(
   return repository;
 }
 
-/// Serve the whole workload through any \p service backend (timed);
+/// Serve the whole workload through \p service (timed);
 /// returns payloads.
-std::vector<Payload> Serve(core::QueryBackend& service,
+std::vector<Payload> Serve(core::QueryService& service,
                            const Workload& workload, double* seconds) {
   WallTimer timer;
   auto futures = service.SubmitBatch(workload.requests);
@@ -212,19 +212,19 @@ int Run(const BenchOptions& options, uint32_t num_shards,
                   serial_timer.ElapsedSeconds());
 
   // --- Serve both configurations ------------------------------------------
-  repo::ShardedQueryService::Options serve_options;
+  core::QueryService::Options serve_options;
   serve_options.num_threads = threads;
   serve_options.raw = raw;
   serve_options.cell_size = cell_size;
 
-  repo::ShardedQueryService single_service(single_seal, serve_options);
+  core::QueryService single_service(single_seal->shards(), serve_options);
   double single_seconds = 0.0;
   const std::vector<Payload> single_served =
       Serve(single_service, workload, &single_seconds);
   PrintThroughput("ShardedService/1s", "serve", workload.requests.size(),
                   single_seconds);
 
-  repo::ShardedQueryService service(*opened, serve_options);
+  core::QueryService service((*opened)->shards(), serve_options);
   double seconds = 0.0;
   const std::vector<Payload> served = Serve(service, workload, &seconds);
   PrintThroughput("ShardedService/" + std::to_string(num_shards) + "s",

@@ -112,9 +112,9 @@ int main() {
   }
   monitor.Finish();
 
-  // Re-seal and hot-swap through the QueryBackend verb: an atomic view
-  // exchange — queries already in flight finish on the seal they pinned,
-  // new submissions see the full day.
+  // Re-seal and hot-swap with UpdateView: an atomic view exchange —
+  // queries already in flight finish on the seal they pinned, new
+  // submissions see the full day.
   service.UpdateView(monitor.Seal());
   const Tick evening = phase1_end + 50;
   const auto& active = fleet.ActiveIdsAt(evening);

@@ -6,7 +6,7 @@
 ///      the raw tail the moment Append returns; shards roll their active
 ///      segment into a background Seal() (persisting the container and
 ///      rotating the log) whenever it crosses the watermark,
-///   3. query MID-STREAM through a LiveQueryService: answers come from
+///   3. query MID-STREAM through a QueryService: answers come from
 ///      the union of each shard's last sealed summary and its raw tail,
 ///      so an exact-mode STRQ at the ingest frontier is never stale —
 ///      QueryStats::seal_epoch reports the freshness floor it drew on,
@@ -30,7 +30,7 @@
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
 #include "datagen/generator.h"
-#include "repo/live_query_service.h"
+#include "core/query_service.h"
 #include "repo/live_repository.h"
 
 int main() {
@@ -77,13 +77,11 @@ int main() {
 
   // 3. Serving starts BEFORE ingest: the service answers from whatever
   //    each shard has published (initially two empty seals).
-  repo::LiveQueryService::Options serve_options;
+  core::QueryService::Options serve_options;
   serve_options.num_threads = 2;
   serve_options.raw = fleet;  // exact-mode verification for sealed points
   serve_options.cell_size = options.tpi.pi.cell_size;
-  auto service = std::make_unique<repo::LiveQueryService>(
-      std::static_pointer_cast<const repo::LiveRepository>(live),
-      serve_options);
+  auto service = std::make_unique<core::QueryService>(live, serve_options);
 
   // Stream the morning. At a few checkpoints, ask "who shares a grid
   // cell with vehicle 42 right now?" — at the ingest frontier, so part
@@ -144,9 +142,7 @@ int main() {
     return 1;
   }
   live = std::move(*reopened);
-  service = std::make_unique<repo::LiveQueryService>(
-      std::static_pointer_cast<const repo::LiveRepository>(live),
-      serve_options);
+  service = std::make_unique<core::QueryService>(live, serve_options);
   std::printf("recovered %zu of %zu points (%s)\n",
               live->TotalPointsAppended(), morning_points,
               live->TotalPointsAppended() == morning_points ? "all of them"

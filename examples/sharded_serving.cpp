@@ -6,9 +6,9 @@
 ///   3. SealAll() into an immutable RepositorySnapshot and SaveAll() it as
 ///      a directory (per-shard PPQSNAP1 containers + PPQMANIF manifest),
 ///   4. OpenRepository() the directory back, as a restarted server would,
-///   5. serve a mixed asynchronous stream through the scatter-gather
-///      ShardedQueryService — the same Submit(QueryRequest) surface as the
-///      single-snapshot QueryService, same byte-exact answers.
+///   5. serve a mixed asynchronous stream through QueryService over the
+///      shard seals — the same engine and Submit(QueryRequest) surface as
+///      for one snapshot, same byte-exact answers.
 ///
 /// Build & run:
 ///   cmake -B build -G Ninja && cmake --build build
@@ -25,7 +25,7 @@
 #include "core/metrics.h"
 #include "core/ppq_trajectory.h"
 #include "datagen/generator.h"
-#include "repo/sharded_query_service.h"
+#include "core/query_service.h"
 #include "repo/sharded_repository.h"
 
 int main() {
@@ -91,11 +91,11 @@ int main() {
   // 5. Scatter-gather serving over the reopened seal: STRQ/window scatter
   //    to every shard and union-merge; k-NN re-merges per-shard top-k by
   //    (distance, id); TPQ paths come from each id's owning shard.
-  repo::ShardedQueryService::Options serve_options;
+  core::QueryService::Options serve_options;
   serve_options.num_threads = 4;
   serve_options.raw = dataset;  // owned: exact mode cannot dangle
   serve_options.cell_size = options.tpi.pi.cell_size;
-  repo::ShardedQueryService service(*opened, serve_options);
+  core::QueryService service((*opened)->shards(), serve_options);
 
   Rng rng(7);
   std::vector<core::QueryRequest> requests;

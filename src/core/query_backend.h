@@ -1,113 +1,14 @@
 #pragma once
 
-#include <future>
-#include <memory>
-#include <type_traits>
-#include <typeinfo>
-#include <vector>
-
-#include "core/query_types.h"
+#include "core/query_service.h"
 
 /// \file query_backend.h
-/// The one abstract serving surface of the stack. Every serving front-end
-/// — core::QueryService over one sealed snapshot, repo::ShardedQueryService
-/// over a sealed sharded repository, repo::LiveQueryService over a live
-/// ingesting repository — already spoke the same four verbs; this
-/// interface names them so benches, examples, and the backend-conformance
-/// suite (tests/query_backend_test.cc) can be written once against
-/// QueryBackend and inherited by every future implementation:
-///
-///   Submit(QueryRequest)        -> std::future<QueryResponse>
-///   SubmitBatch(requests)       -> one future per request
-///   CancelPending()             -> fail queued-but-unstarted requests
-///   UpdateView(ServingView)     -> hot-swap what is being served
-///
-/// UpdateView replaced the per-backend swap verbs (UpdateSnapshot /
-/// UpdateRepository, removed after their one-PR deprecation cycle). Each
-/// backend serves exactly one view type — a SummarySnapshot, a
-/// RepositorySnapshot, a LiveRepository — and the view travels through the
-/// type-erased ServingView so the interface can live in core without core
-/// depending on the repo layer. Handing a backend the wrong view type
-/// throws std::invalid_argument; nothing is swapped.
-///
-/// Thread-safety contract (identical across implementations): all four
-/// verbs are safe from any number of threads; UpdateView is an atomic
-/// swap that never blocks serving, and every in-flight request finishes
-/// entirely on the view it pinned at evaluation start; destruction
-/// drains every submitted future.
+/// The former name of the serving interface. QueryService is now the one
+/// serving engine (query_service.h); this alias keeps code that still
+/// spells `core::QueryBackend` compiling.
 
 namespace ppq::core {
 
-/// \brief Type-erased immutable serving view: a shared_ptr<const T> plus
-/// the identity of T, so a backend can recover (and validate) the one
-/// view type it serves without the interface naming every such type.
-class ServingView {
- public:
-  ServingView() = default;
-
-  /// Implicit by design: callers write UpdateView(seal) with whatever
-  /// typed pointer they hold. Const and non-const element types are
-  /// accepted; the view stores (and hands back) const access only.
-  template <typename T>
-  ServingView(std::shared_ptr<T> view)  // NOLINT(google-explicit-constructor)
-      : handle_(std::static_pointer_cast<const std::remove_const_t<T>>(
-            std::move(view))),
-        type_(&typeid(std::remove_const_t<T>)) {}
-
-  /// Whether the view was constructed from a shared_ptr<[const] T>
-  /// (regardless of whether that pointer was null).
-  template <typename T>
-  bool Holds() const {
-    return type_ != nullptr && *type_ == typeid(std::remove_const_t<T>);
-  }
-
-  /// The held pointer as shared_ptr<const T>, or null when the view holds
-  /// a different type (use Holds<T>() to tell a null T view apart).
-  template <typename T>
-  std::shared_ptr<const T> As() const {
-    if (!Holds<T>()) return nullptr;
-    return std::static_pointer_cast<const T>(handle_);
-  }
-
-  /// Whether any typed pointer (even a null one) was stored.
-  bool has_value() const { return type_ != nullptr; }
-
- private:
-  std::shared_ptr<const void> handle_;
-  const std::type_info* type_ = nullptr;
-};
-
-/// \brief Abstract futures-based query serving backend.
-class QueryBackend {
- public:
-  virtual ~QueryBackend() = default;
-
-  /// \brief Submit one request for asynchronous evaluation. Returns
-  /// immediately; the future resolves when a worker has evaluated the
-  /// request (or it was cancelled). Safe from any thread.
-  virtual std::future<QueryResponse> Submit(QueryRequest request) = 0;
-
-  /// \brief Submit a batch; futures[i] answers requests[i]. Equivalent to
-  /// calling Submit per element but enqueues under one lock.
-  virtual std::vector<std::future<QueryResponse>> SubmitBatch(
-      std::vector<QueryRequest> requests) = 0;
-
-  /// \brief Fail every queued-but-unstarted request with
-  /// StatusCode::kCancelled (their futures resolve immediately with an
-  /// empty payload). Requests already being evaluated complete normally.
-  /// Returns the number cancelled.
-  virtual size_t CancelPending() = 0;
-
-  /// \brief Hot-swap the served view. The swap is atomic and never blocks
-  /// serving: in-flight requests finish on the view they pinned, later
-  /// dispatches see the new one. \throws std::invalid_argument when \p
-  /// view does not hold this backend's view type, is null, or fails the
-  /// backend's construction-time validation; the served view is then
-  /// unchanged.
-  virtual void UpdateView(ServingView view) = 0;
-
-  /// Dedicated serving workers of this backend.
-  virtual size_t num_threads() const = 0;
-};
+using QueryBackend = QueryService;
 
 }  // namespace ppq::core

@@ -18,19 +18,17 @@
 #include "obs/trace.h"
 
 /// \file query_dispatch.h
-/// The shared asynchronous dispatch substrate of every serving front-end
-/// (core::QueryService over one snapshot, repo::ShardedQueryService over a
-/// sharded repository, repo::LiveQueryService over a live stream): an
-/// internally synchronized pending-request queue drained by a dedicated
-/// worker pool, per-worker state handed to a seal-specific evaluator,
-/// cancellation of queued-but-unstarted requests, and
-/// drain-on-destruction. Factoring this out keeps the subtle parts — the
-/// queue-token race with CancelPending, the destruction ordering that
-/// lets the pool drain against still-alive state, promise exception
-/// delivery — in exactly one place; the front-ends contribute only their
-/// evaluator, validation, and hot-swap bookkeeping.
+/// The asynchronous dispatch substrate of the serving engine
+/// (core::QueryService): an internally synchronized pending-request queue
+/// drained by a dedicated worker pool, per-worker state handed to the
+/// evaluator, cancellation of queued-but-unstarted requests, and
+/// drain-on-destruction. Keeping this apart from evaluation keeps the
+/// subtle parts — the queue-token race with CancelPending, the
+/// destruction ordering that lets the pool drain against still-alive
+/// state, promise exception delivery — in one place; the engine
+/// contributes only its evaluator, validation, and hot-swap bookkeeping.
 ///
-/// Thread-safety contract (inherited verbatim by the front-ends):
+/// Thread-safety contract (inherited verbatim by the engine):
 /// Submit / SubmitBatch / CancelPending are safe from any number of
 /// threads. Each queued request is evaluated exactly once, on a dedicated
 /// worker (worker 0 is the never-submitting caller slot of the pool, so
@@ -39,7 +37,7 @@
 ///
 /// WorkerState must expose a `common::Mutex mu` (ppq::Mutex) guarding its
 /// scratch members; the evaluator holds it for the duration of each
-/// evaluation, and the front-ends' hot-swap reclamation sweeps walk
+/// evaluation, and the engine's hot-swap reclamation sweep walks
 /// worker_states() taking each `mu` in turn — all of it visible to
 /// `clang -Wthread-safety` because the guarded members carry
 /// PPQ_GUARDED_BY(mu) and every acquisition is a common::MutexLock.
@@ -80,7 +78,7 @@ inline void ObserveServeStages(const QueryStats& stats) {
 }
 
 /// \brief Internally synchronized request queue + worker pool, generic
-/// over the per-worker scratch a front-end keeps.
+/// over the per-worker scratch the engine keeps.
 template <typename WorkerState>
 class QueryDispatcher {
  public:
@@ -158,8 +156,8 @@ class QueryDispatcher {
     return cancelled.size();
   }
 
-  /// \brief The per-worker states, for the front-ends' hot-swap
-  /// reclamation sweeps. Callers take each state's `mu` themselves:
+  /// \brief The per-worker states, for the engine's hot-swap
+  /// reclamation sweep. Callers take each state's `mu` themselves:
   ///
   ///   for (auto& state : dispatcher_.worker_states()) {
   ///     MutexLock lock(state.mu);
@@ -221,7 +219,7 @@ class QueryDispatcher {
   std::vector<WorkerState> worker_state_;
   /// Declared last so it is destroyed FIRST: the pool's drain-on-destroy
   /// runs ProcessOne against still-alive pending_/worker_state_ (and an
-  /// evaluator whose captured front-end members outlive this dispatcher).
+  /// evaluator whose captured engine members outlive this dispatcher).
   ThreadPool pool_;
 };
 

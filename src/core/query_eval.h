@@ -16,10 +16,10 @@
 /// \file query_eval.h
 /// The spatio-temporal query algorithms of Section 5.2 (STRQ local search,
 /// window queries, expanding-ring k-NN), written once as templates over a
-/// minimal Reader concept so that the serial QueryEngine, the async
-/// QueryService, and the sharded scatter-gather router evaluate *the same
-/// code* — results are byte-identical by construction, whichever path (and
-/// whichever thread count) served them.
+/// minimal Reader concept so that the serial QueryEngine and the async
+/// QueryService (per shard) evaluate *the same code* — results are
+/// byte-identical by construction, whichever path (and whichever thread
+/// count) served them.
 ///
 /// A Reader provides:
 ///   Result<Point> Reconstruct(TrajId id, Tick t) const;

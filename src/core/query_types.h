@@ -11,10 +11,9 @@
 /// \file query_types.h
 /// The one shared query vocabulary of the serving stack: query
 /// specifications, evaluation modes, result shapes, and the closed
-/// QueryRequest / QueryResponse sum types spoken by every serving path —
-/// the single-query QueryEngine, the futures-based QueryService, and the
-/// sharded scatter-gather ShardedQueryService. Kept free of any engine
-/// state so all paths speak exactly the same types.
+/// QueryRequest / QueryResponse sum types spoken by both serving paths —
+/// the single-query QueryEngine and the futures-based QueryService. Kept
+/// free of any engine state so both speak exactly the same types.
 
 namespace ppq::core {
 
@@ -150,7 +149,7 @@ inline QueryKind KindOf(const QueryRequest& request) {
 }
 
 /// Overload-set visitor for std::visit over QueryRequest — shared by
-/// every front-end that dispatches on the request variant.
+/// everything that dispatches on the request variant.
 template <class... Ts>
 struct Overloaded : Ts... {
   using Ts::operator()...;
@@ -168,8 +167,8 @@ enum class ServeStage : size_t {
   kScan = 1,    ///< candidate scan: grid/index probes + sort/unique
   kDecode = 2,  ///< summary reconstruction (Reconstruct/ReconstructSpan)
   kKernel = 3,  ///< SIMD kernel eval + verification loops
-  kTail = 4,    ///< live-tail scan (LiveQueryService only)
-  kMerge = 5,   ///< scatter-gather merge (sharded/live backends)
+  kTail = 4,    ///< raw-tail scan (live sources only)
+  kMerge = 5,   ///< merge of the per-shard sealed and tail parts
 };
 
 inline constexpr size_t kNumServeStages = 6;
@@ -198,14 +197,13 @@ struct QueryStats {
   /// Compact per-stage wall-time breakdown, indexed by ServeStage. The
   /// sub-stages of the evaluation (scan/decode/kernel/tail/merge) sum to
   /// at most eval_micros (each stage truncates to whole micros);
-  /// stage_micros[kQueue] == queue_micros. Stages a backend does not run
-  /// (e.g. tail outside LiveQueryService) stay 0.
+  /// stage_micros[kQueue] == queue_micros. Stages a request does not run
+  /// (e.g. tail on a source without tails) stay 0.
   std::array<uint64_t, kNumServeStages> stage_micros{};
-  /// Freshness: the seal epoch this response was served from.
-  /// QueryService / ShardedQueryService report the number of UpdateView
-  /// swaps applied to the view they pinned (0 = the construction view);
-  /// LiveQueryService reports the oldest per-shard seal generation the
-  /// response drew on — under live ingest a response is therefore never
+  /// Freshness: the minimum seal_epoch of the shard views the response
+  /// pinned. Views the service builds from fixed seals carry its swap
+  /// count (0 = the construction view); a live shard's view carries its
+  /// seal generation — under live ingest a response is therefore never
   /// staler than the one watermark separating epoch N from N+1.
   uint64_t seal_epoch = 0;
 };

@@ -1,129 +1,16 @@
 #pragma once
 
-#include <atomic>
-#include <future>
-#include <memory>
-#include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/types.h"
-#include "core/query_backend.h"
-#include "core/query_dispatch.h"
-#include "core/query_types.h"
-#include "core/summary.h"
+#include "core/query_service.h"
 #include "repo/live_repository.h"
 
 /// \file live_query_service.h
-/// The ingest-while-serving implementation of core::QueryBackend: a
-/// scatter-gather router over a LiveRepository that answers every request
-/// from the UNION of each shard's last sealed snapshot and its raw
-/// queryable tail, merged with the same deterministic merges the sharded
-/// router uses (result_merge.h).
-///
-/// The union is exact because the two sides are disjoint by construction:
-/// a shard's seal answers ticks <= sealed_through, its tail holds every
-/// appended point with tick > sealed_through, and the cut only ever moves
-/// forward — so a point is counted exactly once whichever side of a
-/// watermark roll the evaluating worker observes. Tail points are RAW
-/// (never quantized), so for them approximate / local-search / exact
-/// modes coincide; sealed points answer with the usual mode semantics.
-/// Consequence — the freshness guarantee: an exact-mode response equals
-/// the ground truth over every point appended before the response's
-/// evaluation began; answers are never stale at all for ticks at or
-/// behind the ingest frontier, and never served from quantized state
-/// older than ONE watermark (QueryStats::seal_epoch reports the oldest
-/// shard seal generation the response drew on).
-///
-/// Concurrency model: like ShardedQueryService, one dispatcher pool; each
-/// request pins every shard's LiveShardView with one atomic load per
-/// shard before evaluating. Views are immutable, so concurrent Appends
-/// and background seals never mutate what a worker reads — a request
-/// simply answers from the views it pinned (per-shard pinning, not a
-/// global repository pin: shards roll independently under live ingest,
-/// and the per-point disjointness above is what keeps the union exact
-/// regardless of the interleaving). UpdateView swaps which LiveRepository
-/// is served. Workers keep one DecodeMemo per shard tagged by that
-/// shard's sealed snapshot, so scratch survives appends (which do not
-/// change the seal) and resets per shard exactly when its seal rolls.
+/// The former name of the live serving front end. A LiveRepository is a
+/// core::ShardViewSource, so core::QueryService serves it directly (sealed
+/// summary plus raw tail per shard); this alias keeps code that still
+/// spells `repo::LiveQueryService` compiling.
 
 namespace ppq::repo {
 
-/// \brief Futures-based serving front-end over a live, concurrently
-/// ingesting repository: sealed-summary \cup raw-tail per shard.
-class LiveQueryService : public core::QueryBackend {
- public:
-  struct Options {
-    /// Dedicated serving workers; 0 = hardware concurrency.
-    size_t num_threads = 0;
-    /// Raw dataset for StrqMode::kExact verification of SEALED points
-    /// (tail points are already raw). May be null.
-    std::shared_ptr<const TrajectoryDataset> raw;
-    /// Evaluation grid cell size gc.
-    double cell_size = 0.001;
-    /// Per-worker decode-scratch budget across all shards, in points.
-    size_t scratch_budget_points = size_t{1} << 22;
-  };
-
-  /// \throws std::invalid_argument when \p repository is null.
-  LiveQueryService(std::shared_ptr<const LiveRepository> repository,
-                   Options options);
-
-  /// Drains: blocks until every submitted request has resolved.
-  ~LiveQueryService() override;
-
-  LiveQueryService(const LiveQueryService&) = delete;
-  LiveQueryService& operator=(const LiveQueryService&) = delete;
-
-  std::future<core::QueryResponse> Submit(core::QueryRequest request) override {
-    return dispatcher_.Submit(std::move(request));
-  }
-
-  std::vector<std::future<core::QueryResponse>> SubmitBatch(
-      std::vector<core::QueryRequest> requests) override {
-    return dispatcher_.SubmitBatch(std::move(requests));
-  }
-
-  size_t CancelPending() override { return dispatcher_.CancelPending(); }
-
-  /// \brief Swap which LiveRepository is served (\p view must hold a
-  /// LiveRepository). Note the live freshness story needs no swaps at
-  /// all — appends and seals surface through the shard views — this verb
-  /// re-points the service at a DIFFERENT repository (e.g. blue/green
-  /// stream cutover) with the usual atomic-swap semantics.
-  void UpdateView(core::ServingView view) override;
-
-  /// The currently served live repository.
-  std::shared_ptr<const LiveRepository> repository() const {
-    return std::atomic_load_explicit(&repository_, std::memory_order_acquire);
-  }
-
-  size_t num_threads() const override { return num_workers_; }
-  double cell_size() const { return options_.cell_size; }
-  const std::shared_ptr<const TrajectoryDataset>& raw() const {
-    return options_.raw;
-  }
-
- private:
-  /// Per-worker decode scratch: one memo per shard, each tagged by the
-  /// sealed snapshot it indexes (the SnapshotPtr is held, so tags are
-  /// ABA-safe; a shard's memo survives appends and resets on its seal).
-  struct WorkerState {
-    Mutex mu;
-    std::vector<core::DecodeMemo> memos PPQ_GUARDED_BY(mu);
-    std::vector<core::SnapshotPtr> memo_seals PPQ_GUARDED_BY(mu);
-  };
-
-  core::QueryResponse Evaluate(const core::QueryRequest& request,
-                               WorkerState& state);
-
-  Options options_;
-  size_t num_workers_;
-  /// Accessed only through std::atomic_load/atomic_store.
-  std::shared_ptr<const LiveRepository> repository_;
-
-  /// Declared last: destroyed first, drains against live members above.
-  core::QueryDispatcher<WorkerState> dispatcher_;
-};
+using LiveQueryService = core::QueryService;
 
 }  // namespace ppq::repo

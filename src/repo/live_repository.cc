@@ -111,9 +111,10 @@ LiveRepository::LiveRepository(CompressorFactory factory, Options options)
     }
     // Publish the empty epoch-0 view up front: `sealed` is never null, so
     // readers need no special case before the first watermark roll.
-    auto view = std::make_shared<LiveShardView>();
+    auto view = std::make_shared<core::ShardView>();
     view->sealed = shard->compressor->Seal();
-    std::atomic_store_explicit(&shard->view, LiveShardViewPtr(std::move(view)),
+    std::atomic_store_explicit(&shard->view,
+                               core::ShardViewPtr(std::move(view)),
                                std::memory_order_release);
     lock.Unlock();
     shards_.push_back(std::move(shard));
@@ -211,17 +212,17 @@ Status LiveRepository::AppendShardLocked(size_t index, Shard& shard,
   // new view lands, long before the tick flushes or seals. Replay skips
   // ticks the reopened seal already answers (tick <= sealed_through);
   // live appends always pass this test (ticks advance past the cut).
-  const LiveShardViewPtr old =
+  const core::ShardViewPtr old =
       std::atomic_load_explicit(&shard.view, std::memory_order_acquire);
   const size_t added = sub.size();
   if (sub.tick > old->sealed_through) {
-    auto chunk = std::make_shared<LiveTailChunk>();
+    auto chunk = std::make_shared<core::TailChunk>();
     chunk->slice = std::move(sub);
     chunk->prev = old->tail;
-    auto next = std::make_shared<LiveShardView>(*old);
+    auto next = std::make_shared<core::ShardView>(*old);
     next->tail = std::move(chunk);
     next->tail_points = old->tail_points + added;
-    std::atomic_store_explicit(&shard.view, LiveShardViewPtr(std::move(next)),
+    std::atomic_store_explicit(&shard.view, core::ShardViewPtr(std::move(next)),
                                std::memory_order_release);
   }
   points_appended_.fetch_add(added, std::memory_order_relaxed);
@@ -331,7 +332,11 @@ void LiveRepository::SealShard(size_t index) {
   MutexLock lock(shard.mu);
   shard.compressor = std::move(compressor);
   const Tick cut = shard.seal_cut;
-  const LiveShardViewPtr old =
+  // Declared after `lock`, so `old` dies first: the retired view, its
+  // dropped tail chunks and (serving workers hold no strong reference)
+  // the retired seal are freed here under shard.mu, before Quiesce() can
+  // return — never on a later request's path.
+  const core::ShardViewPtr old =
       std::atomic_load_explicit(&shard.view, std::memory_order_acquire);
 
   // Truncate the tail to ticks the new seal does not cover. Chain ticks
@@ -340,28 +345,28 @@ void LiveRepository::SealShard(size_t index) {
   // preserving order; O(one watermark of chunks).
   std::vector<const TimeSlice*> kept;
   size_t kept_points = 0;
-  for (const LiveTailChunk* c = old->tail.get(); c != nullptr;
+  for (const core::TailChunk* c = old->tail.get(); c != nullptr;
        c = c->prev.get()) {
     if (c->slice.tick <= cut) break;
     kept.push_back(&c->slice);
     kept_points += c->slice.size();
   }
-  LiveTailPtr chain;
+  core::TailPtr chain;
   for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
-    auto chunk = std::make_shared<LiveTailChunk>();
+    auto chunk = std::make_shared<core::TailChunk>();
     chunk->slice = **it;
     chunk->prev = std::move(chain);
     chain = std::move(chunk);
   }
 
-  auto next = std::make_shared<LiveShardView>();
+  auto next = std::make_shared<core::ShardView>();
   next->sealed = std::move(sealed);
   next->sealed_through = cut;
   next->tail = std::move(chain);
   next->tail_points = kept_points;
   next->seal_epoch = old->seal_epoch + 1;
   shard.epoch = next->seal_epoch;
-  std::atomic_store_explicit(&shard.view, LiveShardViewPtr(std::move(next)),
+  std::atomic_store_explicit(&shard.view, core::ShardViewPtr(std::move(next)),
                              std::memory_order_release);
 
   // Rotate the log under the new epoch: the retired file keeps every
@@ -407,7 +412,7 @@ void LiveRepository::Quiesce() {
   }
 }
 
-LiveShardViewPtr LiveRepository::ShardView(size_t shard) const {
+core::ShardViewPtr LiveRepository::ShardView(size_t shard) const {
   return std::atomic_load_explicit(&shards_[shard]->view,
                                    std::memory_order_acquire);
 }
@@ -526,10 +531,10 @@ Status LiveRepository::RecoverShard(uint32_t index, core::SnapshotPtr base) {
   const Tick covered = base != nullptr ? base->MaxCoveredTick() : kNoTickYet;
   shard.base_covered = covered;
   if (base != nullptr) {
-    auto view = std::make_shared<LiveShardView>();
+    auto view = std::make_shared<core::ShardView>();
     view->sealed = std::move(base);
     view->sealed_through = covered;
-    std::atomic_store_explicit(&shard.view, LiveShardViewPtr(std::move(view)),
+    std::atomic_store_explicit(&shard.view, core::ShardViewPtr(std::move(view)),
                                std::memory_order_release);
   }
 
@@ -602,11 +607,11 @@ Status LiveRepository::RecoverShard(uint32_t index, core::SnapshotPtr base) {
   shard.flushed = std::max(shard.flushed, covered);
   shard.epoch = max_epoch;
   {
-    const LiveShardViewPtr old =
+    const core::ShardViewPtr old =
         std::atomic_load_explicit(&shard.view, std::memory_order_acquire);
-    auto next = std::make_shared<LiveShardView>(*old);
+    auto next = std::make_shared<core::ShardView>(*old);
     next->seal_epoch = max_epoch;
-    std::atomic_store_explicit(&shard.view, LiveShardViewPtr(std::move(next)),
+    std::atomic_store_explicit(&shard.view, core::ShardViewPtr(std::move(next)),
                                std::memory_order_release);
   }
 

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/compressor.h"
+#include "core/shard_view.h"
 #include "obs/metrics.h"
 #include "repo/repository_snapshot.h"
 #include "repo/shard_map.h"
@@ -42,14 +43,16 @@
 ///     the pending queue drains into the compressor and the shard is
 ///     ACTIVE again. Ingest never blocks on sealing.
 ///
-/// Every shard atomically publishes a LiveShardView — the last sealed
+/// Every shard atomically publishes a core::ShardView — the last sealed
 /// snapshot (covering ticks <= sealed_through), the raw queryable TAIL
 /// (every appended point with tick > sealed_through, held as an immutable
-/// chunk chain so Append is O(1) publish), and the seal epoch. A point is
-/// queryable from the moment Append returns: first from the tail, then,
-/// after at most one watermark roll, from the sealed summary — the
-/// freshness bound LiveQueryService's union serves under (each response
-/// reports the epoch it drew on via QueryStats::seal_epoch).
+/// chunk chain so Append is O(1) publish), and the seal generation as its
+/// seal_epoch (+1 per completed background seal). The repository is a
+/// core::ShardViewSource, so core::QueryService serves it directly. A
+/// point is queryable from the moment Append returns: first from the
+/// tail, then, after at most one watermark roll, from the sealed summary
+/// (each response reports the oldest seal generation it drew on via
+/// QueryStats::seal_epoch).
 ///
 /// Thread-safety contract: Append is safe from ANY number of producer
 /// threads concurrently (per shard, per tick, batches merge; across
@@ -85,38 +88,9 @@ inline constexpr Tick kNoTickYet = std::numeric_limits<Tick>::min();
 /// which would orphan a flock held on it — see common::DirectoryLock).
 inline constexpr char kRepositoryLockFileName[] = "LOCK";
 
-/// \brief One immutable link of a shard's queryable tail: the points of
-/// one Append (one tick, one shard), chained newest-first. Chains are
-/// persistent — publishing a new chunk never mutates older ones — so a
-/// reader that pinned a view scans a frozen tail while appends continue.
-struct LiveTailChunk {
-  TimeSlice slice;
-  std::shared_ptr<const LiveTailChunk> prev;
-};
-using LiveTailPtr = std::shared_ptr<const LiveTailChunk>;
-
-/// \brief A shard's atomically-published serving view: the summary seal
-/// for ticks <= sealed_through, the raw tail for ticks > sealed_through
-/// (disjoint by construction — the seal cut moves, points do not), and
-/// the seal generation. Immutable; swapped wholesale on every append and
-/// every seal, so readers can never observe a half-rolled shard.
-struct LiveShardView {
-  /// Never null: a fresh shard publishes its compressor's empty seal.
-  core::SnapshotPtr sealed;
-  /// Inclusive: every tick <= sealed_through is answered by `sealed`.
-  Tick sealed_through = kNoTickYet;
-  /// Newest-first chunk chain; ticks non-increasing along the chain and
-  /// all > sealed_through.
-  LiveTailPtr tail;
-  size_t tail_points = 0;
-  /// Seal generation: +1 per completed background seal of this shard.
-  uint64_t seal_epoch = 0;
-};
-using LiveShardViewPtr = std::shared_ptr<const LiveShardView>;
-
 /// \brief Hash-partitioned streaming repository: double-buffered per-shard
 /// segments, watermark-triggered background seals, always-queryable tail.
-class LiveRepository {
+class LiveRepository : public core::ShardViewSource {
  public:
   /// Builds one shard's compressor; same contract as ShardedRepository
   /// (identically configured, distinct instances).
@@ -166,13 +140,13 @@ class LiveRepository {
 
   /// Waits for in-flight background seals (the internal pool drains
   /// before any shard state dies).
-  ~LiveRepository();
+  ~LiveRepository() override;
 
   LiveRepository(const LiveRepository&) = delete;
   LiveRepository& operator=(const LiveRepository&) = delete;
 
   const ShardMap& shard_map() const { return map_; }
-  uint32_t num_shards() const { return map_.num_shards; }
+  uint32_t num_shards() const override { return map_.num_shards; }
   const Options& options() const { return options_; }
 
   /// \brief Absorb one batch of same-tick points, from any thread. The
@@ -211,8 +185,11 @@ class LiveRepository {
   /// The backing directory; empty when memory-only.
   const std::string& dir() const { return dir_; }
 
-  /// The shard's current serving view (one atomic load; never null).
-  LiveShardViewPtr ShardView(size_t shard) const;
+  /// The shard's current serving view (one atomic load; never null). A
+  /// fresh shard's view holds its compressor's empty seal. Views are
+  /// swapped wholesale on every append and every seal, so readers never
+  /// observe a half-rolled shard.
+  core::ShardViewPtr ShardView(size_t shard) const override;
 
   /// \brief Assemble the last sealed state of every shard into a phased
   /// RepositorySnapshot (persistable via RepositorySnapshot::Save). Tail
@@ -221,7 +198,7 @@ class LiveRepository {
   RepositorySnapshotPtr SealedSnapshot() const;
 
   /// The oldest per-shard seal generation — the freshness floor every
-  /// LiveQueryService response is stamped with.
+  /// response served from this repository is stamped with.
   uint64_t MinSealEpoch() const;
 
   /// Total points accepted since construction (monotonic, approximate
@@ -273,7 +250,7 @@ class LiveRepository {
 
     /// The published view; accessed only via atomic_load/atomic_store
     /// (lock-free reader side — deliberately NOT guarded by mu).
-    LiveShardViewPtr view;
+    core::ShardViewPtr view;
 
     /// This shard's index and its per-shard ingest/durability latency
     /// series (`ppq_ingest_{append,flush,seal}_micros{shard="N"}`,

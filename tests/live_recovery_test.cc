@@ -16,7 +16,7 @@
 #include "core/ppq_trajectory.h"
 #include "obs/metrics.h"
 #include "core/query_engine.h"
-#include "repo/live_query_service.h"
+#include "core/query_service.h"
 #include "repo/live_repository.h"
 #include "repo/wal.h"
 #include "tests/test_util.h"
@@ -108,11 +108,11 @@ size_t PointsThrough(const TrajectoryDataset& data, Tick through) {
 void ExpectExactParity(const std::shared_ptr<LiveRepository>& live,
                        const std::shared_ptr<const TrajectoryDataset>& data,
                        Tick frontier, uint64_t query_seed) {
-  LiveQueryService::Options serve;
+  core::QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  core::QueryService service(live, serve);
 
   Rng rng(query_seed);
   size_t checked = 0;

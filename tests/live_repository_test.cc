@@ -18,8 +18,7 @@
 
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
-#include "repo/live_query_service.h"
-#include "repo/sharded_query_service.h"
+#include "core/query_service.h"
 #include "tests/test_util.h"
 
 /// \file live_repository_test.cc
@@ -37,15 +36,19 @@
 /// Around it: watermark rolls (tick-span and point-count) trip
 /// deterministically; appends divert to the pending queue during a slow
 /// background seal and drain losslessly; per-shard tick monotonicity is
-/// enforced per batch; the sealed snapshot after RollAll+Quiesce answers
-/// byte-identically to the live union (tails empty); and concurrent
-/// appenders racing queries stay exact (TSan CI job).
+/// enforced per batch; TPQ paths stitched across a shard's seal cut equal
+/// the seal's reconstruction before it and the raw points after it; a
+/// roll frees the retired seal without waiting for the next request; the
+/// sealed snapshot after RollAll+Quiesce answers byte-identically to the
+/// live union (tails empty); and concurrent appenders racing queries stay
+/// exact (TSan CI job).
 
 namespace ppq::repo {
 namespace {
 
 using core::QueryEngine;
 using core::QueryResponse;
+using core::QueryService;
 using core::QuerySpec;
 using core::SampleQueries;
 using core::StrqMode;
@@ -163,11 +166,11 @@ TEST(LiveRepositoryTest, TailServesEveryPointBeforeAnySeal) {
   }
   EXPECT_EQ(tail_points, live->TotalPointsAppended());
 
-  LiveQueryService::Options serve;
+  QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  QueryService service(live, serve);
 
   // Tail points are raw: all three modes coincide AND equal ground truth.
   Rng rng(5);
@@ -197,11 +200,11 @@ TEST(LiveRepositoryTest, StalenessBoundAcrossRollAndSealBoundaries) {
   options.watermark_points = 0;
   const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
 
-  LiveQueryService::Options serve;
+  QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  QueryService service(live, serve);
 
   Rng rng(9);
   const auto queries = SampleQueries(*data, 120, &rng);
@@ -416,11 +419,11 @@ TEST(LiveRepositoryTest, PendingAppendsDrainDuringSlowSeal) {
 
   // Lossless: after the last cut, every point answers from the summary,
   // exactly.
-  LiveQueryService::Options serve;
+  QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  QueryService service(live, serve);
   Rng rng(13);
   for (const QuerySpec& q : SampleQueries(*data, 40, &rng)) {
     const QueryResponse response =
@@ -430,6 +433,147 @@ TEST(LiveRepositoryTest, PendingAppendsDrainDuringSlowSeal) {
               SortedIds(QueryEngine::GroundTruth(*data, q, CellSize())))
         << "tick " << q.tick;
   }
+}
+
+// -------------------------------------------------------------------------
+// TPQ across a shard's seal cut
+// -------------------------------------------------------------------------
+
+// A live TPQ path is stitched per shard: the seal's reconstruction at
+// ticks <= that shard's sealed_through, raw tail points after it. Queried
+// mid-stream with non-empty tails, every path must equal that stitch
+// point for point and stop exactly where the trajectory or the appended
+// stream ends.
+TEST(LiveRepositoryTest, TpqPathsCrossTheSealCutExactly) {
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  LiveRepository::Options options;
+  options.num_shards = 4;
+  options.num_threads = 1;
+  options.watermark_ticks = 6;
+  options.watermark_points = 0;
+  const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
+
+  QueryService::Options serve;
+  serve.num_threads = 2;
+  serve.raw = data;
+  serve.cell_size = CellSize();
+  QueryService service(live, serve);
+
+  constexpr int kLength = 12;
+  Rng rng(47);
+  const auto queries = SampleQueries(*data, 120, &rng);
+  size_t paths = 0;
+  size_t crossing = 0;  // paths with points on both sides of a cut
+  for (Tick frontier = data->MinTick(); frontier < data->MaxTick();
+       ++frontier) {
+    const PointBatch batch = data->BatchAt(frontier);
+    if (batch.empty()) continue;
+    ASSERT_TRUE(live->Append(batch).ok());
+    if ((frontier - data->MinTick()) % 5 != 4) continue;
+    // No seal is in flight and none starts without an append, so the
+    // views read here are the ones every request below pins.
+    live->Quiesce();
+    std::vector<core::ShardViewPtr> views;
+    size_t tail_points = 0;
+    for (size_t s = 0; s < live->num_shards(); ++s) {
+      views.push_back(live->ShardView(s));
+      tail_points += views.back()->tail_points;
+    }
+    ASSERT_GT(tail_points, 0u) << "frontier " << frontier;
+
+    for (const QuerySpec& q : queries) {
+      if (q.tick > frontier || frontier - q.tick >= kLength) continue;
+      for (StrqMode mode : kAllModes) {
+        const QueryResponse response =
+            service.Submit(core::TpqRequest{q, kLength, mode}).get();
+        ASSERT_TRUE(response.ok());
+        const core::TpqResult& tpq = response.tpq();
+        ASSERT_EQ(tpq.ids.size(), tpq.paths.size());
+        if (mode == StrqMode::kExact) {
+          EXPECT_EQ(tpq.ids,
+                    SortedIds(QueryEngine::GroundTruth(*data, q, CellSize())))
+              << "tick " << q.tick << " at frontier " << frontier;
+        }
+        for (size_t i = 0; i < tpq.ids.size(); ++i) {
+          const TrajId id = tpq.ids[i];
+          const core::ShardView& view = *views[live->shard_map().ShardOf(id)];
+          const Trajectory& traj = (*data)[static_cast<size_t>(id)];
+          core::DecodeMemo memo;
+          std::vector<Point> expected;
+          for (Tick t = q.tick;
+               t < q.tick + kLength && t <= frontier && traj.ActiveAt(t);
+               ++t) {
+            if (t > view.sealed_through) {
+              expected.push_back(traj.At(t));
+              continue;
+            }
+            const Result<Point> p = view.sealed->Reconstruct(id, t, &memo);
+            ASSERT_TRUE(p.ok()) << "id " << id << " tick " << t;
+            expected.push_back(*p);
+          }
+          EXPECT_EQ(tpq.paths[i], expected)
+              << "id " << id << " from tick " << q.tick << " at frontier "
+              << frontier << ", cut " << view.sealed_through;
+          ++paths;
+          const Tick last = q.tick + static_cast<Tick>(expected.size()) - 1;
+          if (q.tick <= view.sealed_through && last > view.sealed_through) {
+            ++crossing;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(paths, 100u);
+  EXPECT_GT(crossing, 10u);
+}
+
+// -------------------------------------------------------------------------
+// A roll frees the retired seal in the seal task
+// -------------------------------------------------------------------------
+
+// Workers tag their decode memos without owning the seal, so the seal
+// task that publishes a successor drops the last reference to the seal it
+// retires. No request has to arrive to free it.
+TEST(LiveRepositoryTest, RollFreesTheRetiredSealWithoutTraffic) {
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  LiveRepository::Options options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  options.watermark_ticks = 0;
+  options.watermark_points = 0;
+  const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
+  const Tick mid = (data->MinTick() + data->MaxTick()) / 2;
+  const auto ingest = [&](Tick begin, Tick end) {
+    for (Tick t = begin; t < end; ++t) {
+      const PointBatch batch = data->BatchAt(t);
+      if (!batch.empty()) {
+        ASSERT_TRUE(live->Append(batch).ok());
+      }
+    }
+    live->RollAll();
+    live->Quiesce();
+  };
+  ingest(data->MinTick(), mid);
+
+  QueryService::Options serve;
+  serve.num_threads = 2;
+  serve.raw = data;
+  serve.cell_size = CellSize();
+  QueryService service(live, serve);
+  Rng rng(37);
+  std::vector<core::QueryRequest> requests;
+  for (const QuerySpec& q : SampleQueries(*data, 20, &rng)) {
+    requests.push_back(StrqRequest{q, StrqMode::kLocalSearch});
+  }
+  for (auto& future : service.SubmitBatch(requests)) {
+    ASSERT_TRUE(future.get().ok());
+  }
+
+  const core::SnapshotPtr retired = live->ShardView(0)->sealed;
+  ingest(mid, data->MaxTick());
+  ASSERT_NE(live->ShardView(0)->sealed, retired);
+  // No further traffic: this handle is the last reference.
+  EXPECT_EQ(retired.use_count(), 1);
 }
 
 // -------------------------------------------------------------------------
@@ -448,17 +592,18 @@ TEST(LiveRepositoryTest, SealedSnapshotMatchesLiveServiceAfterQuiesce) {
   live->RollAll();
   live->Quiesce();
 
-  LiveQueryService::Options live_serve;
+  QueryService::Options live_serve;
   live_serve.num_threads = 2;
   live_serve.raw = data;
   live_serve.cell_size = CellSize();
-  LiveQueryService live_service(live, live_serve);
+  QueryService live_service(live, live_serve);
 
-  ShardedQueryService::Options sharded_serve;
+  QueryService::Options sharded_serve;
   sharded_serve.num_threads = 2;
   sharded_serve.raw = data;
   sharded_serve.cell_size = CellSize();
-  ShardedQueryService sharded_service(live->SealedSnapshot(), sharded_serve);
+  QueryService sharded_service(live->SealedSnapshot()->shards(),
+                               sharded_serve);
 
   Rng rng(21);
   const auto queries = SampleQueries(*data, 25, &rng);
@@ -528,11 +673,11 @@ TEST(LiveRepositoryConcurrencyTest, AppendersRaceQueriesAndStayExact) {
   options.watermark_points = 0;
   const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
 
-  LiveQueryService::Options serve;
+  QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  QueryService service(live, serve);
 
   Rng rng(3);
   const auto queries = SampleQueries(*data, 40, &rng);
@@ -660,11 +805,11 @@ TEST(LiveRepositoryConcurrencyTest, SealDiversionRacesViewReaders) {
   poller.join();
 
   EXPECT_GE(live->MinSealEpoch(), 1u);
-  LiveQueryService::Options serve;
+  QueryService::Options serve;
   serve.num_threads = 2;
   serve.raw = data;
   serve.cell_size = CellSize();
-  LiveQueryService service(live, serve);
+  QueryService service(live, serve);
   Rng rng(29);
   for (const QuerySpec& q : SampleQueries(*data, 25, &rng)) {
     const QueryResponse response =

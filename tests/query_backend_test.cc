@@ -1,5 +1,3 @@
-#include "core/query_backend.h"
-
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,25 +13,22 @@
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
 #include "core/query_service.h"
-#include "repo/live_query_service.h"
 #include "repo/live_repository.h"
-#include "repo/sharded_query_service.h"
 #include "repo/sharded_repository.h"
 #include "tests/test_util.h"
 
 /// \file query_backend_test.cc
-/// The backend-conformance suite: every core::QueryBackend implementation
-/// — QueryService over one seal, ShardedQueryService over a sealed
-/// repository, LiveQueryService over a live repository — must honour the
-/// same contract, checked here once and parameterized over all three
-/// (replacing the per-service copies these tests grew from):
+/// The conformance suite of the serving engine: core::QueryService must
+/// honour one contract whatever it serves, checked here once and
+/// parameterized over its three view sources — one seal, the seals of a
+/// 1-shard repository, a live repository:
 ///
 ///   - byte-parity with the serial QueryEngine at 1 and 4 workers, cold
-///     and warm scratch (each backend is built 1-shard so the serial
-///     engine over its one seal IS the oracle);
-///   - UpdateView atomically swaps to a new view, rejects another
-///     backend's view type with std::invalid_argument (leaving the served
-///     view unchanged), and stamps QueryStats::seal_epoch;
+///     and warm scratch (each source is 1-shard so the serial engine over
+///     its one seal IS the oracle);
+///   - UpdateView atomically swaps to a new view, rejects a null source
+///     with std::invalid_argument (leaving the served view unchanged),
+///     and stamps QueryStats::seal_epoch;
 ///   - destruction drains every submitted future, correctly;
 ///   - CancelPending fails exactly the queued requests and serving
 ///     continues;
@@ -47,12 +42,11 @@ namespace {
 using core::KindOf;
 using core::KnnRequest;
 using core::Neighbor;
-using core::QueryBackend;
 using core::QueryEngine;
 using core::QueryRequest;
 using core::QueryResponse;
+using core::QueryService;
 using core::QuerySpec;
-using core::ServingView;
 using core::SnapshotPtr;
 using core::StrqMode;
 using core::StrqRequest;
@@ -61,10 +55,8 @@ using core::TpqRequest;
 using core::TpqResult;
 using core::WindowRequest;
 using core::WindowSpec;
-using repo::LiveQueryService;
 using repo::LiveRepository;
 using repo::RepositorySnapshotPtr;
-using repo::ShardedQueryService;
 using repo::ShardedRepository;
 
 using Payload = std::variant<StrqResult, std::vector<Neighbor>, TpqResult>;
@@ -108,17 +100,17 @@ Payload EvalSerial(const QueryEngine& engine, const QueryRequest& request) {
   return engine.Tpq(r.query, r.length, r.mode);
 }
 
-/// One backend under conformance test: a factory producing the backend
-/// serving view A, the two swappable views with their serial oracles and
-/// expected seal epochs, and a view of ANOTHER backend's type that
-/// UpdateView must reject.
+/// One view source under conformance test: a factory producing a service
+/// serving view A, swaps to each of the two views (with their serial
+/// oracles and expected seal epochs), and a swap to a null source of the
+/// same shape, which UpdateView must reject.
 struct BackendCase {
   std::shared_ptr<const TrajectoryDataset> data;
   double cell_size = 0;
-  std::function<std::unique_ptr<QueryBackend>(size_t workers)> make;
-  ServingView view_a;
-  ServingView view_b;
-  ServingView wrong_view;
+  std::function<std::unique_ptr<QueryService>(size_t workers)> make;
+  std::function<void(QueryService&)> swap_to_a;
+  std::function<void(QueryService&)> swap_to_b;
+  std::function<void(QueryService&)> swap_to_null;
   std::unique_ptr<QueryEngine> oracle_a;
   std::unique_ptr<QueryEngine> oracle_b;
   uint64_t epoch_a = 0;
@@ -158,14 +150,30 @@ std::shared_ptr<LiveRepository> BuildLive(const TrajectoryDataset& data,
     }
   }
   // Seal everything: with the tails empty, the serial engine over the one
-  // shard's seal is the byte-exact oracle for this backend.
+  // shard's seal is the byte-exact oracle for this source.
   live->RollAll();
   live->Quiesce();
   return live;
 }
 
+/// Installs swaps to \p a, \p b and a null view of the same shape, and a
+/// factory serving \p a.
+template <typename View>
+void SetViews(BackendCase& c, View a, View b, View null) {
+  c.swap_to_a = [a](QueryService& s) { s.UpdateView(a); };
+  c.swap_to_b = [b](QueryService& s) { s.UpdateView(b); };
+  c.swap_to_null = [null](QueryService& s) { s.UpdateView(null); };
+  c.make = [a, data = c.data, cell = c.cell_size](size_t workers) {
+    QueryService::Options o;
+    o.num_threads = workers;
+    o.raw = data;
+    o.cell_size = cell;
+    return std::make_unique<QueryService>(a, o);
+  };
+}
+
 /// Views A and B are two seals of ONE stream: A covers the first half of
-/// the day, B the whole day. All backends are 1-shard on the same data,
+/// the day, B the whole day. All sources are 1-shard on the same data,
 /// so each view's oracle is the serial engine over its single seal.
 BackendCase MakeCase(BackendKind kind) {
   BackendCase c;
@@ -192,19 +200,8 @@ BackendCase MakeCase(BackendKind kind) {
           std::make_unique<QueryEngine>(seal_a, c.data.get(), c.cell_size);
       c.oracle_b =
           std::make_unique<QueryEngine>(seal_b, c.data.get(), c.cell_size);
-      c.view_a = seal_a;
-      c.view_b = seal_b;
-      c.wrong_view = RepositorySnapshotPtr{};
+      SetViews(c, seal_a, seal_b, SnapshotPtr{});
       c.epoch_b = 1;  // one UpdateView swap from A to B
-      c.make = [seal_a, data = c.data,
-                cell = c.cell_size](size_t workers)
-          -> std::unique_ptr<QueryBackend> {
-        core::QueryService::Options o;
-        o.num_threads = workers;
-        o.raw = data;
-        o.cell_size = cell;
-        return std::make_unique<core::QueryService>(seal_a, o);
-      };
       break;
     }
     case BackendKind::kSharded: {
@@ -231,19 +228,9 @@ BackendCase MakeCase(BackendKind kind) {
                                                  c.data.get(), c.cell_size);
       c.oracle_b = std::make_unique<QueryEngine>(repo_b->shards()[0],
                                                  c.data.get(), c.cell_size);
-      c.view_a = repo_a;
-      c.view_b = repo_b;
-      c.wrong_view = SnapshotPtr{};
+      SetViews(c, repo_a->shards(), repo_b->shards(),
+               std::vector<SnapshotPtr>{nullptr});
       c.epoch_b = 1;
-      c.make = [repo_a, data = c.data,
-                cell = c.cell_size](size_t workers)
-          -> std::unique_ptr<QueryBackend> {
-        ShardedQueryService::Options o;
-        o.num_threads = workers;
-        o.raw = data;
-        o.cell_size = cell;
-        return std::make_unique<ShardedQueryService>(repo_a, o);
-      };
       break;
     }
     case BackendKind::kLive: {
@@ -253,22 +240,12 @@ BackendCase MakeCase(BackendKind kind) {
           live_a->ShardView(0)->sealed, c.data.get(), c.cell_size);
       c.oracle_b = std::make_unique<QueryEngine>(
           live_b->ShardView(0)->sealed, c.data.get(), c.cell_size);
-      c.view_a = std::shared_ptr<const LiveRepository>(live_a);
-      c.view_b = std::shared_ptr<const LiveRepository>(live_b);
-      c.wrong_view = SnapshotPtr{};
+      using LivePtr = std::shared_ptr<const core::ShardViewSource>;
+      SetViews(c, LivePtr(live_a), LivePtr(live_b), LivePtr());
       // Live freshness is the repository's seal generation, not a swap
       // count: quiesced repositories report it deterministically.
       c.epoch_a = live_a->MinSealEpoch();
       c.epoch_b = live_b->MinSealEpoch();
-      c.make = [live_a, data = c.data,
-                cell = c.cell_size](size_t workers)
-          -> std::unique_ptr<QueryBackend> {
-        LiveQueryService::Options o;
-        o.num_threads = workers;
-        o.raw = data;
-        o.cell_size = cell;
-        return std::make_unique<LiveQueryService>(live_a, o);
-      };
       break;
     }
   }
@@ -277,11 +254,11 @@ BackendCase MakeCase(BackendKind kind) {
 
 /// Submit every request and require byte-parity with \p oracle plus
 /// populated, internally consistent responses at \p epoch.
-void ExpectMatchesOracle(QueryBackend& backend, const QueryEngine& oracle,
+void ExpectMatchesOracle(QueryService& service, const QueryEngine& oracle,
                          uint64_t epoch,
                          const std::vector<QueryRequest>& requests,
                          const std::string& label) {
-  auto futures = backend.SubmitBatch(requests);
+  auto futures = service.SubmitBatch(requests);
   ASSERT_EQ(futures.size(), requests.size());
   size_t total_decoded = 0;
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -307,14 +284,14 @@ TEST_P(QueryBackendConformance, ParityAgainstSerialOracle) {
   const auto requests = MakeRequests(queries, windows);
 
   for (size_t workers : {size_t{1}, size_t{4}}) {
-    const auto backend = c.make(workers);
-    EXPECT_EQ(backend->num_threads(), workers);
+    const auto service = c.make(workers);
+    EXPECT_EQ(service->num_threads(), workers);
     const std::string label =
         KindName(GetParam()) + "@" + std::to_string(workers) + "w";
-    ExpectMatchesOracle(*backend, *c.oracle_a, c.epoch_a, requests,
+    ExpectMatchesOracle(*service, *c.oracle_a, c.epoch_a, requests,
                         "cold " + label);
     // Warm decode scratch must not change results.
-    ExpectMatchesOracle(*backend, *c.oracle_a, c.epoch_a, requests,
+    ExpectMatchesOracle(*service, *c.oracle_a, c.epoch_a, requests,
                         "warm " + label);
   }
 }
@@ -326,14 +303,15 @@ TEST_P(QueryBackendConformance, UpdateViewSwapsAndRejectsWrongViewType) {
   const auto windows = test::SampleWindows(*c.data, 8, &rng);
   const auto requests = MakeRequests(queries, windows);
 
-  const auto backend = c.make(2);
-  ExpectMatchesOracle(*backend, *c.oracle_a, c.epoch_a, requests, "pre-swap");
-  backend->UpdateView(c.view_b);
-  ExpectMatchesOracle(*backend, *c.oracle_b, c.epoch_b, requests, "post-swap");
+  const auto service = c.make(2);
+  ExpectMatchesOracle(*service, *c.oracle_a, c.epoch_a, requests, "pre-swap");
+  c.swap_to_b(*service);
+  ExpectMatchesOracle(*service, *c.oracle_b, c.epoch_b, requests, "post-swap");
 
-  // Another backend's view type is rejected — and nothing was swapped.
-  EXPECT_THROW(backend->UpdateView(c.wrong_view), std::invalid_argument);
-  ExpectMatchesOracle(*backend, *c.oracle_b, c.epoch_b, requests,
+  // With one engine there is no view of another type left to hand it:
+  // the wrong view is a null source, rejected — and nothing was swapped.
+  EXPECT_THROW(c.swap_to_null(*service), std::invalid_argument);
+  ExpectMatchesOracle(*service, *c.oracle_b, c.epoch_b, requests,
                       "post-reject");
 }
 
@@ -347,8 +325,8 @@ TEST_P(QueryBackendConformance, DestructionDrainsSubmittedRequests) {
 
   std::vector<std::future<QueryResponse>> futures;
   {
-    const auto backend = c.make(2);
-    futures = backend->SubmitBatch(requests);
+    const auto service = c.make(2);
+    futures = service->SubmitBatch(requests);
   }  // destroyed immediately: every future must still resolve, correctly
 
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -367,9 +345,9 @@ TEST_P(QueryBackendConformance, CancelPendingFailsExactlyTheQueued) {
     requests.push_back(StrqRequest{q, StrqMode::kExact});
   }
 
-  const auto backend = c.make(1);
-  auto futures = backend->SubmitBatch(std::move(requests));
-  const size_t cancelled = backend->CancelPending();
+  const auto service = c.make(1);
+  auto futures = service->SubmitBatch(std::move(requests));
+  const size_t cancelled = service->CancelPending();
   ASSERT_LE(cancelled, futures.size());
 
   size_t observed = 0;
@@ -382,10 +360,10 @@ TEST_P(QueryBackendConformance, CancelPendingFailsExactlyTheQueued) {
   }
   EXPECT_EQ(observed, cancelled);
 
-  // After a cancel, the backend still serves.
+  // After a cancel, the service still serves.
   Rng rng2(14);
   const QueryResponse after =
-      backend
+      service
           ->Submit(StrqRequest{core::SampleQueries(*c.data, 1, &rng2)[0],
                                StrqMode::kLocalSearch})
           .get();
@@ -408,7 +386,7 @@ TEST_P(QueryBackendConformance, SubmittersRaceHotSwap) {
     ref_b.push_back(EvalSerial(*c.oracle_b, request));
   }
 
-  const auto backend = c.make(4);
+  const auto service = c.make(4);
   constexpr size_t kSubmitters = 4;
   constexpr int kSwaps = 50;
   std::vector<std::vector<QueryResponse>> responses(kSubmitters);
@@ -416,12 +394,12 @@ TEST_P(QueryBackendConformance, SubmittersRaceHotSwap) {
   for (size_t s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
       for (const QueryRequest& request : requests) {
-        responses[s].push_back(backend->Submit(request).get());
+        responses[s].push_back(service->Submit(request).get());
       }
     });
   }
   for (int i = 0; i < kSwaps; ++i) {
-    backend->UpdateView((i % 2 == 0) ? c.view_b : c.view_a);
+    ((i % 2 == 0) ? c.swap_to_b : c.swap_to_a)(*service);
   }
   for (std::thread& t : submitters) t.join();
 

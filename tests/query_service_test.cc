@@ -24,13 +24,13 @@
 /// materialized (TrajStore) snapshots, and fixed-per-tick mode (the
 /// parity oracles formerly living in query_executor_test.cc; the
 /// deprecated executor shims are gone). The hot-swap race, drain-on-
-/// destruction, and cancellation-accounting contracts are now covered for
-/// ALL core::QueryBackend implementations at once by the conformance
-/// suite (query_backend_test.cc); this suite keeps what is specific to
-/// single-snapshot serving — eager scratch reclamation on swap, the
-/// shared_ptr-owned verification dataset that closes the old raw-pointer
-/// lifetime footgun, and seals staying immutable under continued
-/// encoding / outliving their compressor.
+/// destruction, and cancellation-accounting contracts are covered for
+/// every view source at once by the conformance suite
+/// (query_backend_test.cc); this suite keeps what is specific to serving
+/// one snapshot — eager scratch reclamation on swap, the shared_ptr-owned
+/// verification dataset that closes the old raw-pointer lifetime footgun,
+/// and seals staying immutable under continued encoding / outliving their
+/// compressor.
 
 namespace ppq::core {
 namespace {
@@ -241,7 +241,7 @@ TEST(QueryServiceTest, PerQueryStatsCountVerificationCandidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Swap semantics specific to the single-snapshot backend
+// Swap semantics of a single served snapshot
 // (the generic hot-swap race lives in query_backend_test.cc)
 // ---------------------------------------------------------------------------
 
@@ -330,15 +330,24 @@ TEST(QueryServiceLifetimeTest, RejectsMismatchedVerificationDataset) {
 
   QueryService::Options null_snapshot_options;
   null_snapshot_options.num_threads = 1;
-  EXPECT_THROW(QueryService(nullptr, null_snapshot_options),
+  EXPECT_THROW(QueryService(SnapshotPtr{}, null_snapshot_options),
                std::invalid_argument);
 
-  // UpdateView validates the same way; the served seal is unchanged
+  // UpdateView validates the same way; the original seal still answers
   // after a rejected swap.
   serve_options.raw = data;
+  serve_options.cell_size = options.tpi.pi.cell_size;
   QueryService service(snapshot, serve_options);
   EXPECT_THROW(service.UpdateView(SnapshotPtr{}), std::invalid_argument);
-  EXPECT_EQ(service.snapshot().get(), snapshot.get());
+  const QueryEngine oracle(snapshot, data.get(), serve_options.cell_size);
+  Rng rng(23);
+  for (const QuerySpec& q : SampleQueries(*data, 20, &rng)) {
+    const StrqRequest request{q, StrqMode::kExact};
+    const QueryResponse response = service.Submit(request).get();
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.result, EvalSerial(oracle, request));
+    EXPECT_EQ(response.stats.seal_epoch, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ RepositorySnapshotPtr SaveRepository(const TrajectoryDataset& data,
 
 /// The opened repository must answer exactly like the sealed one,
 /// shard by shard (serial single-query probes; the full service-level
-/// parity lives in sharded_query_service_test.cc).
+/// parity lives in sharded_serving_test.cc).
 void ExpectShardsServeIdentically(const RepositorySnapshotPtr& opened,
                                   const RepositorySnapshotPtr& sealed,
                                   const TrajectoryDataset& data) {

@@ -1,5 +1,3 @@
-#include "repo/sharded_query_service.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,20 +19,21 @@
 #include "repo/sharded_repository.h"
 #include "tests/test_util.h"
 
-/// \file sharded_query_service_test.cc
-/// The scatter-gather router's contract: every response must be
+/// \file sharded_serving_test.cc
+/// QueryService over a sharded repository's seals
+/// (QueryService(repository->shards(), options)): every response must be
 /// byte-identical to evaluating the same request against each shard's
 /// snapshot with the serial QueryEngine and merging serially (the
 /// "per-shard serial oracle", reimplemented here independently of the
 /// production merge), at N in {1, 2, 4} shards x every StrqMode x 1 and 4
-/// workers. A 1-shard repository must answer byte-identically to the
-/// unsharded QueryService; k-NN ties straddling a shard boundary must
+/// workers. A 1-shard repository must answer byte-identically to one
+/// unsharded snapshot; k-NN ties straddling a shard boundary must
 /// resolve by the deterministic (distance, id) order; empty shards must
 /// be transparent; and exact-mode answers must be independent of the
 /// shard count. The hot-swap race (no response may mix two repository
 /// seals), drain-on-destruction, and cancellation-accounting contracts
-/// are covered for every core::QueryBackend implementation at once by
-/// the conformance suite (query_backend_test.cc).
+/// are covered for every view source at once by the conformance suite
+/// (query_backend_test.cc).
 
 namespace ppq::repo {
 namespace {
@@ -44,8 +43,10 @@ using core::Neighbor;
 using core::QueryEngine;
 using core::QueryRequest;
 using core::QueryResponse;
+using core::QueryService;
 using core::QuerySpec;
 using core::SampleQueries;
+using core::SnapshotPtr;
 using core::StrqMode;
 using core::StrqRequest;
 using core::StrqResult;
@@ -175,7 +176,7 @@ struct ShardOracle {
 
 /// Submit every request and require byte-parity with the oracle, plus
 /// internally consistent responses.
-void ExpectMatchesOracle(ShardedQueryService& service,
+void ExpectMatchesOracle(QueryService& service,
                          const ShardOracle& oracle,
                          const std::vector<QueryRequest>& requests,
                          const std::string& label) {
@@ -214,11 +215,11 @@ TEST_P(ShardedServiceParity, MatchesPerShardSerialOracle) {
   const auto windows = test::SampleWindows(*data, 15, &rng);
   const auto requests = MakeRequests(queries, windows);
 
-  ShardedQueryService::Options options;
+  QueryService::Options options;
   options.num_threads = workers;
   options.raw = data;
   options.cell_size = cell;
-  ShardedQueryService service(repository, options);
+  QueryService service(repository->shards(), options);
   EXPECT_EQ(service.num_threads(), workers);
 
   const std::string label = std::to_string(num_shards) + "shards@" +
@@ -255,17 +256,17 @@ TEST_P(OneShardEquivalence, MatchesUnshardedQueryService) {
   const auto windows = test::SampleWindows(*data, 15, &rng);
   const auto requests = MakeRequests(queries, windows);
 
-  ShardedQueryService::Options sharded_options;
+  QueryService::Options sharded_options;
   sharded_options.num_threads = workers;
   sharded_options.raw = data;
   sharded_options.cell_size = cell;
-  ShardedQueryService sharded(repository, sharded_options);
+  QueryService sharded(repository->shards(), sharded_options);
 
-  core::QueryService::Options flat_options;
+  QueryService::Options flat_options;
   flat_options.num_threads = workers;
   flat_options.raw = data;
   flat_options.cell_size = cell;
-  core::QueryService flat(unsharded.Seal(), flat_options);
+  QueryService flat(unsharded.Seal(), flat_options);
 
   auto sharded_futures = sharded.SubmitBatch(requests);
   auto flat_futures = flat.SubmitBatch(requests);
@@ -318,11 +319,11 @@ TEST(ShardedMergeTest, KnnTiesAtShardBoundariesResolveById) {
 
   const auto raw = std::make_shared<const TrajectoryDataset>(data);
   const double cell = core::PpqOptions{}.tpi.pi.cell_size;
-  ShardedQueryService::Options options;
+  QueryService::Options options;
   options.num_threads = 2;
   options.raw = raw;
   options.cell_size = cell;
-  ShardedQueryService service(repository, options);
+  QueryService service(repository->shards(), options);
 
   const QuerySpec query{data[0].At(10), 10};
   const QueryResponse response = service.Submit(KnnRequest{query, 4}).get();
@@ -363,11 +364,11 @@ TEST(ShardedMergeTest, EmptyShardsAreTransparent) {
   const auto queries = SampleQueries(*data, 20, &rng);
   const auto windows = test::SampleWindows(*data, 10, &rng);
 
-  ShardedQueryService::Options options;
+  QueryService::Options options;
   options.num_threads = 2;
   options.raw = data;
   options.cell_size = cell;
-  ShardedQueryService service(repository, options);
+  QueryService service(repository->shards(), options);
   ExpectMatchesOracle(service, oracle, MakeRequests(queries, windows),
                       "empty shards");
 }
@@ -392,11 +393,11 @@ TEST(ShardedMergeTest, ExactModeAnswersAreShardCountInvariant) {
   for (const uint32_t num_shards : {2u, 4u}) {
     const RepositorySnapshotPtr repository =
         BuildRepository(*data, num_shards);
-    ShardedQueryService::Options options;
+    QueryService::Options options;
     options.num_threads = 2;
     options.raw = data;
     options.cell_size = cell;
-    ShardedQueryService service(repository, options);
+    QueryService service(repository->shards(), options);
     for (const QuerySpec& q : queries) {
       const QueryResponse response =
           service.Submit(StrqRequest{q, StrqMode::kExact}).get();
@@ -421,26 +422,41 @@ TEST(ShardedServiceLifetimeTest, RejectsInvalidConstructionAndSwap) {
   const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
   const RepositorySnapshotPtr repository = BuildRepository(*data, 2);
 
-  ShardedQueryService::Options null_options;
+  // No seals, or a shard without one, is a null source.
+  QueryService::Options null_options;
   null_options.num_threads = 1;
-  EXPECT_THROW(ShardedQueryService(nullptr, null_options),
+  EXPECT_THROW(QueryService(std::vector<SnapshotPtr>{}, null_options),
                std::invalid_argument);
+  EXPECT_THROW(
+      QueryService(std::vector<SnapshotPtr>{repository->shard(0), nullptr},
+                   null_options),
+      std::invalid_argument);
 
   // A dataset smaller than the repository's total cannot be its source.
-  ShardedQueryService::Options small_raw;
+  QueryService::Options small_raw;
   small_raw.num_threads = 1;
   small_raw.raw = std::make_shared<const TrajectoryDataset>(
       test::MakePortoDataset({3, 50, 15, 50, 99}));
-  EXPECT_THROW(ShardedQueryService(repository, small_raw),
+  EXPECT_THROW(QueryService(repository->shards(), small_raw),
                std::invalid_argument);
 
-  ShardedQueryService::Options options;
+  // UpdateView validates the same way; the original seals still answer
+  // after a rejected swap.
+  QueryService::Options options;
   options.num_threads = 1;
   options.raw = data;
-  ShardedQueryService service(repository, options);
-  EXPECT_THROW(service.UpdateView(RepositorySnapshotPtr{}),
+  options.cell_size = core::PpqOptions{}.tpi.pi.cell_size;
+  QueryService service(repository->shards(), options);
+  EXPECT_THROW(service.UpdateView(std::vector<SnapshotPtr>{}),
                std::invalid_argument);
-  EXPECT_EQ(service.repository().get(), repository.get());
+  EXPECT_THROW(service.UpdateView(std::vector<SnapshotPtr>{nullptr, nullptr}),
+               std::invalid_argument);
+  Rng rng(43);
+  const auto queries = SampleQueries(*data, 10, &rng);
+  const auto windows = test::SampleWindows(*data, 5, &rng);
+  ExpectMatchesOracle(service,
+                      ShardOracle(repository, data.get(), options.cell_size),
+                      MakeRequests(queries, windows), "after rejected swaps");
 }
 
 }  // namespace
