@@ -481,6 +481,50 @@ int RunKernelGate(const std::string& json_path) {
            /*gated=*/false);
   }
 
+  {
+    // k-means kernels over dim-major 6-D rows (PPQ-A's feature width)
+    // against k = 8 centroids; ns per row.
+    constexpr size_t kDim = 6, kK = 8;
+    Rng rng(12);
+    std::vector<double> cols(kN * kDim), centroids(kK * kDim);
+    for (double& v : cols) v = rng.Uniform(-1.0, 1.0);
+    for (double& v : centroids) v = rng.Uniform(-1.0, 1.0);
+    std::vector<int32_t> index(kN);
+    std::vector<double> best(kN, std::numeric_limits<double>::infinity());
+    report("kmeans_assign", kN,
+           BestNsPerItem(kN, kReps, kInner,
+                         [&] {
+                           simd::NearestCentroidsScalar(
+                               cols.data(), kN, kN, kDim, centroids.data(),
+                               kK, index.data(), in.dist.data());
+                           benchmark::DoNotOptimize(index.data());
+                         }),
+           BestNsPerItem(kN, kReps, kInner,
+                         [&] {
+                           simd::NearestCentroids(
+                               cols.data(), kN, kN, kDim, centroids.data(),
+                               kK, index.data(), in.dist.data());
+                           benchmark::DoNotOptimize(index.data());
+                         }),
+           /*gated=*/false);
+    report("kmeans_refresh", kN,
+           BestNsPerItem(kN, kReps, kInner,
+                         [&] {
+                           simd::RefreshMinSquaredDistancesScalar(
+                               cols.data(), kN, kN, kDim, centroids.data(),
+                               best.data());
+                           benchmark::DoNotOptimize(best.data());
+                         }),
+           BestNsPerItem(kN, kReps, kInner,
+                         [&] {
+                           simd::RefreshMinSquaredDistances(
+                               cols.data(), kN, kN, kDim, centroids.data(),
+                               best.data());
+                           benchmark::DoNotOptimize(best.data());
+                         }),
+           /*gated=*/false);
+  }
+
   // --- The gated kernel: deployed span decode vs scalar per-point decode
   // over a real PPQ-A seal (warm memo — the query-serving steady state
   // whose cost QueryStats::decode_micros measures).

@@ -1,6 +1,8 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 /// \file simd.cc
 /// Kernel implementations. This translation unit is compiled with
@@ -77,6 +79,49 @@ void CqcRefineSpanScalar(const Point* base, const uint64_t* bits,
     } else {
       out[i] = base[i];
     }
+  }
+}
+
+namespace {
+
+/// d2(i, c) of the k-means kernels: row i of dim-major \p cols.
+inline double RowSquaredDistance(const double* cols, size_t stride, size_t i,
+                                 size_t dim, const double* centroid) {
+  double d2 = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double diff = cols[d * stride + i] - centroid[d];
+    d2 += diff * diff;
+  }
+  return d2;
+}
+
+}  // namespace
+
+void NearestCentroidsScalar(const double* cols, size_t stride, size_t n,
+                            size_t dim, const double* centroids, size_t k,
+                            int32_t* index, double* dist2) {
+  for (size_t i = 0; i < n; ++i) {
+    int32_t best = 0;
+    double best_d2 = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < k; ++c) {
+      const double d2 = RowSquaredDistance(cols, stride, i, dim,
+                                           centroids + c * dim);
+      if (d2 < best_d2) {
+        best_d2 = d2;
+        best = static_cast<int32_t>(c);
+      }
+    }
+    index[i] = best;
+    dist2[i] = best_d2;
+  }
+}
+
+void RefreshMinSquaredDistancesScalar(const double* cols, size_t stride,
+                                      size_t n, size_t dim,
+                                      const double* centroid, double* best) {
+  for (size_t i = 0; i < n; ++i) {
+    best[i] = std::min(best[i],
+                       RowSquaredDistance(cols, stride, i, dim, centroid));
   }
 }
 
@@ -190,6 +235,66 @@ void CqcRefineSpanSse2(const Point* base, const uint64_t* bits,
   }
   if (i < n) CqcRefineSpanScalar(base + i, bits + i, lengths + i, n - i, lut,
                                  lut_size, code_bits, out + i);
+}
+
+/// d2 of the two rows starting at \p col0 (coordinate 0 of the first row)
+/// to \p centroid, one row per lane; dim >= 1.
+inline __m128d SquaredDistances2Sse2(const double* col0, size_t stride,
+                                     size_t dim, const double* centroid) {
+  __m128d diff = _mm_sub_pd(_mm_loadu_pd(col0), _mm_set1_pd(centroid[0]));
+  __m128d d2 = _mm_mul_pd(diff, diff);
+  for (size_t d = 1; d < dim; ++d) {
+    diff = _mm_sub_pd(_mm_loadu_pd(col0 + d * stride),
+                      _mm_set1_pd(centroid[d]));
+    d2 = _mm_add_pd(d2, _mm_mul_pd(diff, diff));
+  }
+  return d2;
+}
+
+// The k-means variants below take dim >= 1 (the dispatcher sends dim == 0
+// to the scalar reference). minpd(a, b) computes a < b ? a : b, exactly
+// the strict-< update of the scalar scans, NaN operands included. Argmin
+// indices ride in double lanes (exact far beyond any k), so the d2 < best
+// mask selects them directly.
+
+void NearestCentroidsSse2(const double* cols, size_t stride, size_t n,
+                          size_t dim, const double* centroids, size_t k,
+                          int32_t* index, double* dist2) {
+  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    __m128d best = inf;
+    __m128d arg = _mm_setzero_pd();
+    for (size_t c = 0; c < k; ++c) {
+      const __m128d d2 =
+          SquaredDistances2Sse2(cols + i, stride, dim, centroids + c * dim);
+      const __m128d less = _mm_cmplt_pd(d2, best);
+      arg = _mm_or_pd(_mm_and_pd(less, _mm_set1_pd(static_cast<double>(c))),
+                      _mm_andnot_pd(less, arg));
+      best = _mm_min_pd(d2, best);
+    }
+    _mm_storeu_pd(dist2 + i, best);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(index + i),
+                     _mm_cvttpd_epi32(arg));
+  }
+  if (i < n) {
+    NearestCentroidsScalar(cols + i, stride, n - i, dim, centroids, k,
+                           index + i, dist2 + i);
+  }
+}
+
+void RefreshMinSquaredDistancesSse2(const double* cols, size_t stride,
+                                    size_t n, size_t dim,
+                                    const double* centroid, double* best) {
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d d2 = SquaredDistances2Sse2(cols + i, stride, dim, centroid);
+    _mm_storeu_pd(best + i, _mm_min_pd(d2, _mm_loadu_pd(best + i)));
+  }
+  if (i < n) {
+    RefreshMinSquaredDistancesScalar(cols + i, stride, n - i, dim, centroid,
+                                     best + i);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +432,73 @@ __attribute__((target("avx2"))) void CqcRefineSpanAvx2(
   }
 }
 
+/// SquaredDistances2Sse2 over four rows.
+__attribute__((target("avx2"))) inline __m256d SquaredDistances4Avx2(
+    const double* col0, size_t stride, size_t dim, const double* centroid) {
+  __m256d diff =
+      _mm256_sub_pd(_mm256_loadu_pd(col0), _mm256_broadcast_sd(centroid));
+  __m256d d2 = _mm256_mul_pd(diff, diff);
+  for (size_t d = 1; d < dim; ++d) {
+    diff = _mm256_sub_pd(_mm256_loadu_pd(col0 + d * stride),
+                         _mm256_broadcast_sd(centroid + d));
+    d2 = _mm256_add_pd(d2, _mm256_mul_pd(diff, diff));
+  }
+  return d2;
+}
+
+__attribute__((target("avx2"))) void NearestCentroidsAvx2(
+    const double* cols, size_t stride, size_t n, size_t dim,
+    const double* centroids, size_t k, int32_t* index, double* dist2) {
+  const __m256d inf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  size_t i = 0;
+  // Eight rows per step: two independent argmin chains over the centroids.
+  for (; i + 8 <= n; i += 8) {
+    __m256d best_a = inf;
+    __m256d best_b = inf;
+    __m256d arg_a = _mm256_setzero_pd();
+    __m256d arg_b = _mm256_setzero_pd();
+    for (size_t c = 0; c < k; ++c) {
+      const double* centroid = centroids + c * dim;
+      const __m256d d2_a =
+          SquaredDistances4Avx2(cols + i, stride, dim, centroid);
+      const __m256d d2_b =
+          SquaredDistances4Avx2(cols + i + 4, stride, dim, centroid);
+      const __m256d cv = _mm256_set1_pd(static_cast<double>(c));
+      arg_a = _mm256_blendv_pd(arg_a, cv,
+                               _mm256_cmp_pd(d2_a, best_a, _CMP_LT_OQ));
+      arg_b = _mm256_blendv_pd(arg_b, cv,
+                               _mm256_cmp_pd(d2_b, best_b, _CMP_LT_OQ));
+      best_a = _mm256_min_pd(d2_a, best_a);
+      best_b = _mm256_min_pd(d2_b, best_b);
+    }
+    _mm256_storeu_pd(dist2 + i, best_a);
+    _mm256_storeu_pd(dist2 + i + 4, best_b);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(index + i),
+                     _mm256_cvttpd_epi32(arg_a));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(index + i + 4),
+                     _mm256_cvttpd_epi32(arg_b));
+  }
+  if (i < n) {
+    NearestCentroidsSse2(cols + i, stride, n - i, dim, centroids, k,
+                         index + i, dist2 + i);
+  }
+}
+
+__attribute__((target("avx2"))) void RefreshMinSquaredDistancesAvx2(
+    const double* cols, size_t stride, size_t n, size_t dim,
+    const double* centroid, double* best) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d d2 = SquaredDistances4Avx2(cols + i, stride, dim, centroid);
+    _mm256_storeu_pd(best + i, _mm256_min_pd(d2, _mm256_loadu_pd(best + i)));
+  }
+  if (i < n) {
+    RefreshMinSquaredDistancesSse2(cols + i, stride, n - i, dim, centroid,
+                                   best + i);
+  }
+}
+
 Level DetectLevel() {
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   return Level::kSse2;
@@ -423,6 +595,38 @@ void CqcRefineSpan(const Point* base, const uint64_t* bits,
 #else
   CqcRefineSpanScalar(base, bits, lengths, n, lut, lut_size, code_bits, out);
 #endif
+}
+
+void NearestCentroids(const double* cols, size_t stride, size_t n, size_t dim,
+                      const double* centroids, size_t k, int32_t* index,
+                      double* dist2) {
+#if PPQ_SIMD_X86
+  if (dim > 0) {
+    if (g_level == Level::kAvx2) {
+      NearestCentroidsAvx2(cols, stride, n, dim, centroids, k, index, dist2);
+    } else {
+      NearestCentroidsSse2(cols, stride, n, dim, centroids, k, index, dist2);
+    }
+    return;
+  }
+#endif
+  NearestCentroidsScalar(cols, stride, n, dim, centroids, k, index, dist2);
+}
+
+void RefreshMinSquaredDistances(const double* cols, size_t stride, size_t n,
+                                size_t dim, const double* centroid,
+                                double* best) {
+#if PPQ_SIMD_X86
+  if (dim > 0) {
+    if (g_level == Level::kAvx2) {
+      RefreshMinSquaredDistancesAvx2(cols, stride, n, dim, centroid, best);
+    } else {
+      RefreshMinSquaredDistancesSse2(cols, stride, n, dim, centroid, best);
+    }
+    return;
+  }
+#endif
+  RefreshMinSquaredDistancesScalar(cols, stride, n, dim, centroid, best);
 }
 
 }  // namespace ppq::simd

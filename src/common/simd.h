@@ -10,7 +10,9 @@
 /// rectangle distances (STRQ/window filtering), point distances (kNN
 /// scoring), squared distances over coordinate arrays (codebook
 /// nearest-centroid search), and LUT-based CQC span refinement (batched
-/// decode). Each kernel exists in three variants — scalar reference, SSE2,
+/// decode); and for the encoder: k-means nearest-centroid assignment and
+/// k-means++ seeding over dim-major rows (threshold clustering). Each
+/// kernel exists in three variants — scalar reference, SSE2,
 /// AVX2 — selected once at startup: SSE2 is the x86-64 baseline, AVX2 is
 /// taken when the CPU reports it, and every other platform (or a
 /// -DPPQ_SIMD=OFF build) runs the scalar reference.
@@ -93,6 +95,41 @@ void SquaredDistancesSoa(const double* xs, const double* ys, size_t n,
                          const Point& q, double* out);
 void SquaredDistancesSoaScalar(const double* xs, const double* ys, size_t n,
                                const Point& q, double* out);
+
+// ---------------------------------------------------------------------------
+// k-means over dim-major rows (threshold clustering, quantizer training)
+// ---------------------------------------------------------------------------
+//
+// Both kernels read n rows of dimension dim stored dim-major (SoA):
+// coordinate d of row i is cols[d * stride + i], stride >= n. The squared
+// distance of row i to a centroid c (dim doubles) is
+//
+//   d2(i, c) = 0.0 + diff_0^2 + diff_1^2 + ...,  diff_d = row_i[d] - c[d]
+//
+// summed for d ascending, no fused multiply-add. A square is never -0, so
+// the leading 0.0 + is exact and the vector variants start from diff_0^2.
+// These define quantizer::RunKMeans' distances bit for bit.
+
+/// Nearest centroid per row: index[i] = argmin over c in [0, k) of
+/// d2(i, centroids + c * dim) and dist2[i] its distance. The scan keeps
+/// (0, +inf) and takes c only when d2 < best strictly, so the lower index
+/// wins ties and a NaN distance never wins: a row whose every distance is
+/// NaN gets index 0 and distance +inf. centroids is row-major, k x dim.
+void NearestCentroids(const double* cols, size_t stride, size_t n, size_t dim,
+                      const double* centroids, size_t k, int32_t* index,
+                      double* dist2);
+void NearestCentroidsScalar(const double* cols, size_t stride, size_t n,
+                            size_t dim, const double* centroids, size_t k,
+                            int32_t* index, double* dist2);
+
+/// k-means++ seeding refresh: best[i] = std::min(best[i], d2(i, centroid)),
+/// i.e. d2 replaces best[i] only when d2 < best[i] (a NaN never does).
+void RefreshMinSquaredDistances(const double* cols, size_t stride, size_t n,
+                                size_t dim, const double* centroid,
+                                double* best);
+void RefreshMinSquaredDistancesScalar(const double* cols, size_t stride,
+                                      size_t n, size_t dim,
+                                      const double* centroid, double* best);
 
 // ---------------------------------------------------------------------------
 // CQC span refinement (batched summary decode)

@@ -83,13 +83,15 @@ std::vector<double> PpqTrajectory::BuildFeatures(const TimeSlice& slice,
   // Autocorrelation: AR(k) features over each trajectory's recent raw
   // window, including the current point.
   *dim = autocorr_.FeatureDim();
-  std::vector<double> features;
-  features.reserve(slice.size() * static_cast<size_t>(*dim));
+  std::vector<double> features(slice.size() * static_cast<size_t>(*dim));
+  std::vector<Point> window;
+  predictor::AutocorrelationExtractor::Scratch scratch;
   for (size_t i = 0; i < slice.size(); ++i) {
-    std::vector<Point> window = states_[slice.ids[i]].raw_window;
+    const std::vector<Point>& raw = states_[slice.ids[i]].raw_window;
+    window.assign(raw.begin(), raw.end());
     window.push_back(slice.positions[i]);
-    const std::vector<double> f = autocorr_.Extract(window);
-    features.insert(features.end(), f.begin(), f.end());
+    autocorr_.ExtractInto(window, &scratch,
+                          features.data() + i * static_cast<size_t>(*dim));
   }
   return features;
 }

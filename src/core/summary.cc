@@ -58,27 +58,28 @@ const quantizer::Codebook& TrajectorySummary::CodebookAt(Tick t) const {
 Status TrajectorySummary::ExtendPrefix(const TrajectoryRecord& record,
                                        std::vector<Point>& memo,
                                        size_t needed) const {
-  while (memo.size() < needed) {
-    const Tick tick = record.start_tick + static_cast<Tick>(memo.size());
+  if (memo.size() >= needed) return Status::OK();
+  const size_t order =
+      prediction_order_ > 0 ? static_cast<size_t>(prediction_order_) : 0;
+  Tick tick = record.start_tick + static_cast<Tick>(memo.size());
+  // One walk over the coefficient map, advanced with the tick.
+  auto cit = coefficients_.lower_bound(tick);
+  for (; memo.size() < needed; ++tick) {
     const PointRecord& pr = record.points[memo.size()];
 
-    // Prediction (Equation 2) from the reconstructed history.
+    // Prediction (Equation 2) from the reconstructed history, the last
+    // `order` points of the prefix.
     Point prediction{0.0, 0.0};
     if (pr.partition >= 0) {
-      const auto cit = coefficients_.find(tick);
-      if (cit == coefficients_.end() ||
+      while (cit != coefficients_.end() && cit->first < tick) ++cit;
+      if (cit == coefficients_.end() || cit->first != tick ||
           static_cast<size_t>(pr.partition) >= cit->second.size()) {
         return Status::Internal("missing coefficients for tick/partition");
       }
-      const auto& coeffs = cit->second[static_cast<size_t>(pr.partition)];
-      std::vector<Point> history;
-      history.reserve(static_cast<size_t>(prediction_order_));
-      for (int j = 1;
-           j <= prediction_order_ && static_cast<size_t>(j) <= memo.size();
-           ++j) {
-        history.push_back(memo[memo.size() - static_cast<size_t>(j)]);
-      }
-      prediction = predictor::LinearPredictor::Predict(coeffs, history);
+      const size_t history = std::min(order, memo.size());
+      prediction = predictor::LinearPredictor::PredictFromTail(
+          cit->second[static_cast<size_t>(pr.partition)],
+          memo.data() + (memo.size() - history), history);
     }
 
     // Codeword (Equation 4).

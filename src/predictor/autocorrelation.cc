@@ -1,5 +1,6 @@
 #include "predictor/autocorrelation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/matrix.h"
@@ -16,12 +17,12 @@ double Mean(const std::vector<double>& v) {
 
 }  // namespace
 
-std::vector<double> AutocorrelationExtractor::ExtractAr(
-    const std::vector<double>& series) const {
+void AutocorrelationExtractor::ExtractAr(const std::vector<double>& series,
+                                         double* out) const {
   const int k = options_.order;
   const int n = static_cast<int>(series.size());
-  std::vector<double> zero(static_cast<size_t>(k), 0.0);
-  if (n < k + 1) return zero;
+  std::fill_n(out, k, 0.0);
+  if (n < k + 1) return;
 
   // Centre the window: position windows are smooth and nearly collinear,
   // and removing the mean plus a scale-aware ridge keeps the AR fit from
@@ -44,52 +45,54 @@ std::vector<double> AutocorrelationExtractor::ExtractAr(
   }
   const double ridge = std::max(1e-12, 1e-4 * scale * scale);
   auto solved = SolveLeastSquares(a, b, ridge);
-  if (!solved.ok()) return zero;
-  return std::move(solved).ValueOrDie();
+  if (!solved.ok()) return;
+  std::copy(solved->begin(), solved->end(), out);
 }
 
-std::vector<double> AutocorrelationExtractor::ExtractAcf(
-    const std::vector<double>& series) const {
+void AutocorrelationExtractor::ExtractAcf(const std::vector<double>& series,
+                                          double* out) const {
   const int k = options_.order;
   const int n = static_cast<int>(series.size());
-  std::vector<double> acf(static_cast<size_t>(k), 0.0);
-  if (n < k + 1) return acf;
+  std::fill_n(out, k, 0.0);
+  if (n < k + 1) return;
   const double mean = Mean(series);
   double var = 0.0;
   for (double x : series) var += (x - mean) * (x - mean);
-  if (var <= 1e-30) return acf;
+  if (var <= 1e-30) return;
   for (int lag = 1; lag <= k; ++lag) {
     double cov = 0.0;
     for (int t = lag; t < n; ++t) {
       cov += (series[static_cast<size_t>(t)] - mean) *
              (series[static_cast<size_t>(t - lag)] - mean);
     }
-    acf[static_cast<size_t>(lag - 1)] = cov / var;
+    out[lag - 1] = cov / var;
   }
-  return acf;
 }
 
 std::vector<double> AutocorrelationExtractor::Extract(
     const std::vector<Point>& window) const {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  xs.reserve(window.size());
-  ys.reserve(window.size());
+  std::vector<double> features(static_cast<size_t>(FeatureDim()));
+  Scratch scratch;
+  ExtractInto(window, &scratch, features.data());
+  return features;
+}
+
+void AutocorrelationExtractor::ExtractInto(const std::vector<Point>& window,
+                                           Scratch* scratch,
+                                           double* out) const {
+  scratch->xs.clear();
+  scratch->ys.clear();
   for (const Point& p : window) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
+    scratch->xs.push_back(p.x);
+    scratch->ys.push_back(p.y);
   }
-  std::vector<double> fx;
-  std::vector<double> fy;
   if (options_.feature == AutocorrFeature::kArCoefficients) {
-    fx = ExtractAr(xs);
-    fy = ExtractAr(ys);
+    ExtractAr(scratch->xs, out);
+    ExtractAr(scratch->ys, out + options_.order);
   } else {
-    fx = ExtractAcf(xs);
-    fy = ExtractAcf(ys);
+    ExtractAcf(scratch->xs, out);
+    ExtractAcf(scratch->ys, out + options_.order);
   }
-  fx.insert(fx.end(), fy.begin(), fy.end());
-  return fx;
 }
 
 }  // namespace ppq::predictor

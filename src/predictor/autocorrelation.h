@@ -45,11 +45,24 @@ class AutocorrelationExtractor {
   /// immature trajectories cluster together rather than failing.
   std::vector<double> Extract(const std::vector<Point>& window) const;
 
+  /// Caller-owned buffers reused across ExtractInto calls.
+  struct Scratch {
+    std::vector<double> xs;
+    std::vector<double> ys;
+  };
+
+  /// Extract() into \p out (FeatureDim() values), reusing \p scratch: once
+  /// it has grown, ACF features allocate nothing (the AR fit still does,
+  /// in its least-squares solve).
+  void ExtractInto(const std::vector<Point>& window, Scratch* scratch,
+                   double* out) const;
+
   const Options& options() const { return options_; }
 
  private:
-  std::vector<double> ExtractAr(const std::vector<double>& series) const;
-  std::vector<double> ExtractAcf(const std::vector<double>& series) const;
+  /// Each writes `order` values to \p out.
+  void ExtractAr(const std::vector<double>& series, double* out) const;
+  void ExtractAcf(const std::vector<double>& series, double* out) const;
 
   Options options_;
 };

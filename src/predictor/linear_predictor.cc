@@ -44,4 +44,14 @@ Point LinearPredictor::Predict(const PredictionCoefficients& coeffs,
   return prediction;
 }
 
+Point LinearPredictor::PredictFromTail(const PredictionCoefficients& coeffs,
+                                       const Point* recent, size_t count) {
+  Point prediction{0.0, 0.0};
+  const size_t usable = std::min(coeffs.coefficients.size(), count);
+  for (size_t j = 0; j < usable; ++j) {
+    prediction += recent[count - 1 - j] * coeffs.coefficients[j];
+  }
+  return prediction;
+}
+
 }  // namespace ppq::predictor

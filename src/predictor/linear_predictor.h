@@ -62,6 +62,13 @@ class LinearPredictor {
   static Point Predict(const PredictionCoefficients& coeffs,
                        const std::vector<Point>& history);
 
+  /// Predict() over the tail of a reconstruction sequence stored oldest
+  /// first: history[j] is recent[count - 1 - j], so recent[count - 1] is
+  /// t-1. Same terms and summation order as Predict(). The decoder calls
+  /// it on its prefix, so no history vector is built per point.
+  static Point PredictFromTail(const PredictionCoefficients& coeffs,
+                               const Point* recent, size_t count);
+
  private:
   int order_;
 };

@@ -4,21 +4,28 @@
 #include <cmath>
 #include <limits>
 
+#include "common/simd.h"
+
 namespace ppq::quantizer {
 namespace {
 
-double SquaredDistance(const double* a, const double* b, int dim) {
-  double sum = 0.0;
-  for (int d = 0; d < dim; ++d) {
-    const double diff = a[d] - b[d];
-    sum += diff * diff;
+/// Dim-major (SoA) copy of row-major \p data: coordinate d of row i at
+/// [d * n + i], the layout the simd.h k-means kernels read.
+std::vector<double> DimMajor(const std::vector<double>& data, int n, int dim) {
+  std::vector<double> cols(static_cast<size_t>(n) * dim);
+  for (int i = 0; i < n; ++i) {
+    for (int d = 0; d < dim; ++d) {
+      cols[static_cast<size_t>(d) * n + i] =
+          data[static_cast<size_t>(i) * dim + d];
+    }
   }
-  return sum;
+  return cols;
 }
 
 /// k-means++ seeding: first centre uniform, subsequent centres drawn
 /// proportionally to squared distance from the nearest chosen centre.
-std::vector<double> SeedPlusPlus(const std::vector<double>& data, int n,
+std::vector<double> SeedPlusPlus(const std::vector<double>& data,
+                                 const std::vector<double>& cols, int n,
                                  int dim, int k, Rng& rng) {
   std::vector<double> centroids(static_cast<size_t>(k) * dim);
   const int first = static_cast<int>(rng.UniformInt(0, n - 1));
@@ -28,13 +35,10 @@ std::vector<double> SeedPlusPlus(const std::vector<double>& data, int n,
                               std::numeric_limits<double>::infinity());
   for (int c = 1; c < k; ++c) {
     // Refresh distances with the centre added last round.
-    const double* last = &centroids[static_cast<size_t>(c - 1) * dim];
-    for (int i = 0; i < n; ++i) {
-      const double d2 =
-          SquaredDistance(&data[static_cast<size_t>(i) * dim], last, dim);
-      best_d2[static_cast<size_t>(i)] =
-          std::min(best_d2[static_cast<size_t>(i)], d2);
-    }
+    simd::RefreshMinSquaredDistances(
+        cols.data(), static_cast<size_t>(n), static_cast<size_t>(n),
+        static_cast<size_t>(dim), &centroids[static_cast<size_t>(c - 1) * dim],
+        best_d2.data());
     const size_t pick = rng.WeightedIndex(best_d2);
     std::copy_n(&data[pick * dim], dim,
                 centroids.begin() + static_cast<size_t>(c) * dim);
@@ -64,32 +68,34 @@ KMeansResult RunKMeans(const std::vector<double>& data, int n, int dim, int k,
   }
   k = std::clamp(k, 1, n);
   result.k = k;
-  result.centroids = SeedPlusPlus(data, n, dim, k, rng);
+  const std::vector<double> cols = DimMajor(data, n, dim);
+  result.centroids = SeedPlusPlus(data, cols, n, dim, k, rng);
   result.assignments.assign(static_cast<size_t>(n), 0);
+
+  // Nearest-centroid scan of every row against result.centroids.
+  std::vector<int> nearest(static_cast<size_t>(n));
+  std::vector<double> nearest_d2(static_cast<size_t>(n));
+  const auto assign_nearest = [&] {
+    simd::NearestCentroids(cols.data(), static_cast<size_t>(n),
+                           static_cast<size_t>(n), static_cast<size_t>(dim),
+                           result.centroids.data(), static_cast<size_t>(k),
+                           nearest.data(), nearest_d2.data());
+  };
 
   std::vector<double> sums(static_cast<size_t>(k) * dim);
   std::vector<int> counts(static_cast<size_t>(k));
+  // Whether the last scan is already the final pass's: true when Lloyd
+  // stops with no assignment changed, because no update step followed it.
+  bool final_scan_done = false;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    bool changed = false;
     // Assignment step.
-    for (int i = 0; i < n; ++i) {
-      const double* row = &data[static_cast<size_t>(i) * dim];
-      int best = 0;
-      double best_d2 = std::numeric_limits<double>::infinity();
-      for (int c = 0; c < k; ++c) {
-        const double d2 = SquaredDistance(
-            row, &result.centroids[static_cast<size_t>(c) * dim], dim);
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best = c;
-        }
-      }
-      if (result.assignments[static_cast<size_t>(i)] != best) {
-        result.assignments[static_cast<size_t>(i)] = best;
-        changed = true;
-      }
+    assign_nearest();
+    const bool changed = nearest != result.assignments;
+    result.assignments.swap(nearest);
+    if (!changed && iter > 0 && options.early_stop) {
+      final_scan_done = true;
+      break;
     }
-    if (!changed && iter > 0 && options.early_stop) break;
 
     // Update step.
     std::fill(sums.begin(), sums.end(), 0.0);
@@ -119,23 +125,16 @@ KMeansResult RunKMeans(const std::vector<double>& data, int n, int dim, int k,
   }
 
   // Final assignment pass + per-cluster radius.
+  if (!final_scan_done) {
+    assign_nearest();
+    result.assignments.swap(nearest);
+  }
   result.max_radius.assign(static_cast<size_t>(k), 0.0);
   for (int i = 0; i < n; ++i) {
-    const double* row = &data[static_cast<size_t>(i) * dim];
-    int best = 0;
-    double best_d2 = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < k; ++c) {
-      const double d2 = SquaredDistance(
-          row, &result.centroids[static_cast<size_t>(c) * dim], dim);
-      if (d2 < best_d2) {
-        best_d2 = d2;
-        best = c;
-      }
-    }
-    result.assignments[static_cast<size_t>(i)] = best;
-    result.max_radius[static_cast<size_t>(best)] =
-        std::max(result.max_radius[static_cast<size_t>(best)],
-                 std::sqrt(best_d2));
+    const size_t best =
+        static_cast<size_t>(result.assignments[static_cast<size_t>(i)]);
+    result.max_radius[best] = std::max(
+        result.max_radius[best], std::sqrt(nearest_d2[static_cast<size_t>(i)]));
   }
   return result;
 }

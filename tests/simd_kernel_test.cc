@@ -3,7 +3,8 @@
 /// kernel must produce byte-identical output to its scalar reference over
 /// randomized and adversarial inputs — NaN/inf/denormal coordinates,
 /// boundary points sitting exactly on rectangle edges, spans shorter than
-/// the vector width, and unaligned buffer offsets. Outputs are compared
+/// the vector width, unaligned buffer offsets, and (for the k-means
+/// kernels) exact ties between centroids and all-NaN rows. Outputs are compared
 /// with memcmp so NaN payloads and signed zeros count too. The suite runs
 /// under ASan/UBSan in CI (tail-handling bugs in vector code are exactly
 /// the kind sanitizers catch).
@@ -299,6 +300,151 @@ TEST(SimdKernelTest, CqcRefineSpanInPlaceAliasing) {
                       lut.data(), lut.size(), codec.code_bits(),
                       in_place.data());
   ASSERT_TRUE(BitEqual(in_place.data(), out_of_place.data(), kN));
+}
+
+// ---------------------------------------------------------------------------
+// k-means kernels: NearestCentroids and RefreshMinSquaredDistances
+// ---------------------------------------------------------------------------
+
+const std::vector<size_t>& KMeansDims() {
+  static const std::vector<size_t> dims = {1, 2, 3, 6, 8};
+  return dims;
+}
+const std::vector<size_t>& KMeansKs() {
+  static const std::vector<size_t> ks = {1, 2, 5, 17};
+  return ks;
+}
+
+/// One k-means coordinate: a quarter-grid value (so distances tie
+/// exactly), a uniform one, or, one time in five, an adversarial one.
+double KMeansValue(Rng& rng) {
+  const auto& adv = AdversarialValues();
+  const int64_t kind = rng.UniformInt(0, 9);
+  if (kind < 2) {
+    return adv[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(adv.size()) - 1))];
+  }
+  if (kind < 6) return 0.25 * static_cast<double>(rng.UniformInt(0, 4));
+  return rng.Uniform(0.0, 1.0);
+}
+
+/// Dim-major rows with \p off leading entries per column, so the kernels
+/// start off alignment: coordinate d of row i at [d * stride + off + i].
+/// Every seventh row is all-NaN.
+std::vector<double> KMeansRows(size_t n, size_t dim, size_t off, Rng& rng) {
+  const size_t stride = off + n;
+  std::vector<double> cols(dim * stride);
+  for (double& v : cols) v = KMeansValue(rng);
+  for (size_t i = 0; i < n; i += 7) {
+    for (size_t d = 0; d < dim; ++d) {
+      cols[d * stride + off + i] = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return cols;
+}
+
+/// k row-major centroids; a third of them repeat an earlier one, so rows
+/// meet exact ties between centroids.
+std::vector<double> KMeansCentroids(size_t k, size_t dim, Rng& rng) {
+  std::vector<double> centroids(k * dim);
+  for (size_t c = 0; c < k; ++c) {
+    const bool repeat = c > 0 && c % 3 == 2;
+    const size_t from = repeat ? static_cast<size_t>(rng.UniformInt(
+                                     0, static_cast<int64_t>(c) - 1))
+                               : c;
+    for (size_t d = 0; d < dim; ++d) {
+      centroids[c * dim + d] =
+          repeat ? centroids[from * dim + d] : KMeansValue(rng);
+    }
+  }
+  return centroids;
+}
+
+TEST(SimdKernelTest, NearestCentroidsMatchesScalarBitwise) {
+  Rng rng(108);
+  constexpr int32_t kIndexCanary = -7;
+  for (size_t n = 0; n <= 100; ++n) {
+    for (size_t dim : KMeansDims()) {
+      for (size_t k : KMeansKs()) {
+        const size_t off = n % kMaxOffset;
+        const size_t stride = off + n;
+        const std::vector<double> cols = KMeansRows(n, dim, off, rng);
+        const std::vector<double> centroids = KMeansCentroids(k, dim, rng);
+        std::vector<int32_t> got_index(stride + 1, kIndexCanary);
+        std::vector<int32_t> want_index(stride + 1, kIndexCanary);
+        std::vector<double> got_d2(stride + 1, kCanary);
+        std::vector<double> want_d2(stride + 1, kCanary);
+        simd::NearestCentroids(cols.data() + off, stride, n, dim,
+                               centroids.data(), k, got_index.data() + off,
+                               got_d2.data() + off);
+        simd::NearestCentroidsScalar(cols.data() + off, stride, n, dim,
+                                     centroids.data(), k,
+                                     want_index.data() + off,
+                                     want_d2.data() + off);
+        ASSERT_EQ(0, std::memcmp(got_index.data(), want_index.data(),
+                                 got_index.size() * sizeof(int32_t)))
+            << "n=" << n << " dim=" << dim << " k=" << k;
+        ASSERT_TRUE(BitEqual(got_d2.data(), want_d2.data(), got_d2.size()))
+            << "n=" << n << " dim=" << dim << " k=" << k;
+        for (size_t i = 0; i < n; i += 7) {  // the all-NaN rows
+          ASSERT_EQ(0, got_index[off + i]) << "n=" << n << " i=" << i;
+          ASSERT_EQ(std::numeric_limits<double>::infinity(),
+                    got_d2[off + i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, NearestCentroidsTiesTakeTheLowerIndex) {
+  // Row x = 0.5 sits exactly between 0.25 and 0.75; centroids 3 and 4
+  // repeat them, so every row has a four-way tie at d2 = 0.0625 * dim.
+  const std::vector<double> centroid_x = {1.0, 0.25, 0.75, 0.25, 0.75};
+  for (size_t dim : KMeansDims()) {
+    for (size_t n = 0; n <= 17; ++n) {
+      std::vector<double> cols(dim * n, 0.5);
+      std::vector<double> centroids;
+      for (double x : centroid_x) centroids.insert(centroids.end(), dim, x);
+      std::vector<int32_t> index(n, -1);
+      std::vector<double> d2(n);
+      simd::NearestCentroids(cols.data(), n, n, dim, centroids.data(),
+                             centroid_x.size(), index.data(), d2.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(1, index[i]) << "dim=" << dim << " n=" << n << " i=" << i;
+        ASSERT_EQ(0.0625 * static_cast<double>(dim), d2[i]);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, RefreshMinSquaredDistancesMatchesScalarBitwise) {
+  Rng rng(109);
+  for (size_t n = 0; n <= 100; ++n) {
+    for (size_t dim : KMeansDims()) {
+      for (size_t off = 0; off < kMaxOffset; ++off) {
+        const size_t stride = off + n;
+        const std::vector<double> cols = KMeansRows(n, dim, off, rng);
+        const std::vector<double> centroid = KMeansCentroids(1, dim, rng);
+        // Running minima: +inf (the seeding start), earlier minima, and
+        // k-means values (a NaN minimum must survive untouched).
+        std::vector<double> got(stride + 1, kCanary);
+        for (size_t i = 0; i < n; ++i) {
+          const int64_t kind = rng.UniformInt(0, 3);
+          got[off + i] = kind == 0   ? std::numeric_limits<double>::infinity()
+                         : kind == 1 ? KMeansValue(rng)
+                                     : rng.Uniform(0.0, 2.0);
+        }
+        std::vector<double> want = got;
+        simd::RefreshMinSquaredDistances(cols.data() + off, stride, n, dim,
+                                         centroid.data(), got.data() + off);
+        simd::RefreshMinSquaredDistancesScalar(cols.data() + off, stride, n,
+                                               dim, centroid.data(),
+                                               want.data() + off);
+        ASSERT_TRUE(BitEqual(got.data(), want.data(), got.size()))
+            << "n=" << n << " dim=" << dim << " off=" << off;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/summary.h"
@@ -137,21 +140,134 @@ TEST(SummaryTest, TotalPointsSumsRecords) {
   EXPECT_EQ(summary.NumTrajectories(), 2u);
 }
 
+/// Trajectory 7 from tick 0 over the codebook {(1, 0), (0.5, 0)} with
+/// prediction order 1; coefficient sets are added per case.
+TrajectorySummary MakeWalkSummary(std::vector<PointRecord> points) {
+  TrajectorySummary summary(/*prediction_order=*/1, false, std::nullopt);
+  summary.mutable_codebook()->Add({1.0, 0.0});
+  summary.mutable_codebook()->Add({0.5, 0.0});
+  summary.GetOrCreate(7, 0).points = std::move(points);
+  return summary;
+}
+
+/// One partition per tick: coefficient \p a on the point at t-1.
+void SetOneCoefficient(TrajectorySummary& summary, Tick t, double a) {
+  predictor::PredictionCoefficients coeffs;
+  coeffs.coefficients = {a};
+  summary.SetCoefficients(t, {coeffs});
+}
+
+/// Trajectory 7 must decode to (good_x[t], 0) for t < good_x.size() and
+/// fail with kInternal from tick good_x.size() on. Checked through
+/// Reconstruct and through ReconstructSpan (which returns the points before
+/// the failure), from a cold memo and from memos already extended part of
+/// the way.
+void ExpectDecodeStopsAt(const TrajectorySummary& summary,
+                         const std::vector<double>& good_x) {
+  const size_t bad = good_x.size();
+  const size_t length = summary.Find(7)->points.size();
+  for (size_t warm = 0; warm <= bad; ++warm) {
+    SCOPED_TRACE("memo holds " + std::to_string(warm) + " points");
+    DecodeMemo memo;
+    DecodeMemo span_memo;
+    for (size_t t = 0; t < warm; ++t) {
+      ASSERT_TRUE(summary.Reconstruct(7, static_cast<Tick>(t), &memo).ok());
+      ASSERT_TRUE(
+          summary.Reconstruct(7, static_cast<Tick>(t), &span_memo).ok());
+    }
+    for (size_t t = bad; t < length; ++t) {
+      EXPECT_EQ(summary.Reconstruct(7, static_cast<Tick>(t), &memo)
+                    .status()
+                    .code(),
+                StatusCode::kInternal)
+          << "t=" << t;
+    }
+    for (size_t t = 0; t < bad; ++t) {
+      const auto p = summary.Reconstruct(7, static_cast<Tick>(t), &memo);
+      ASSERT_TRUE(p.ok()) << "t=" << t;
+      EXPECT_EQ(p->x, good_x[t]) << "t=" << t;
+    }
+
+    std::vector<Point> out(length, Point{-1.0, -1.0});
+    EXPECT_EQ(summary.ReconstructSpan(7, 0, length, out.data(), &span_memo),
+              bad);
+    for (size_t t = 0; t < length; ++t) {
+      EXPECT_EQ(out[t].x, t < bad ? good_x[t] : -1.0) << "t=" << t;
+    }
+    EXPECT_EQ(summary.ReconstructSpan(7, 1, length - 1, out.data(),
+                                      &span_memo),
+              bad > 0 ? bad - 1 : 0);
+  }
+}
+
 TEST(SummaryTest, MissingCoefficientsIsInternalError) {
-  TrajectorySummary summary(1, false, std::nullopt);
-  summary.mutable_codebook()->Add({0.0, 0.0});
-  TrajectoryRecord& record = summary.GetOrCreate(1, 0);
-  record.points.push_back({0, 0, {}});  // partition 0 but no coefficients
-  EXPECT_EQ(summary.Reconstruct(1, 0).status().code(),
-            StatusCode::kInternal);
+  {
+    TrajectorySummary summary(1, false, std::nullopt);
+    summary.mutable_codebook()->Add({0.0, 0.0});
+    TrajectoryRecord& record = summary.GetOrCreate(1, 0);
+    record.points.push_back({0, 0, {}});  // partition 0 but no coefficients
+    EXPECT_EQ(summary.Reconstruct(1, 0).status().code(),
+              StatusCode::kInternal);
+  }
+  // The first point predicts from a tick with no coefficients at all.
+  {
+    SCOPED_TRACE("first point");
+    TrajectorySummary summary = MakeWalkSummary(
+        {{0, 0, {}}, {0, 1, {}}, {0, 1, {}}});
+    SetOneCoefficient(summary, 1, 1.0);
+    SetOneCoefficient(summary, 2, 1.0);
+    ExpectDecodeStopsAt(summary, {});
+  }
+  // Tick 2 has no coefficients, between ticks 1 and 3 that do. Tick 0's
+  // set is never read (warm-up point) and tick 1's differs from tick 3's,
+  // so a walk that lands on the wrong tick decodes a wrong x.
+  {
+    SCOPED_TRACE("gap between ticks");
+    TrajectorySummary summary = MakeWalkSummary(
+        {{-1, 0, {}}, {0, 1, {}}, {0, 1, {}}, {0, 1, {}}, {0, 1, {}}});
+    SetOneCoefficient(summary, 0, 5.0);
+    SetOneCoefficient(summary, 1, 2.0);
+    SetOneCoefficient(summary, 3, 1.0);
+    SetOneCoefficient(summary, 4, 1.0);
+    ExpectDecodeStopsAt(summary, {1.0, 2.5});
+  }
+  // A warm-up point at a tick without coefficients decodes; the failure is
+  // a partition beyond tick 3's one-partition set.
+  {
+    SCOPED_TRACE("partition beyond its tick's set");
+    TrajectorySummary summary = MakeWalkSummary(
+        {{-1, 0, {}}, {-1, 1, {}}, {0, 1, {}}, {1, 1, {}}, {0, 1, {}}});
+    SetOneCoefficient(summary, 2, 2.0);
+    SetOneCoefficient(summary, 3, 1.0);
+    SetOneCoefficient(summary, 4, 1.0);
+    ExpectDecodeStopsAt(summary, {1.0, 0.5, 1.5});
+  }
 }
 
 TEST(SummaryTest, CorruptCodewordIndexIsInternalError) {
-  TrajectorySummary summary(1, false, std::nullopt);
-  TrajectoryRecord& record = summary.GetOrCreate(1, 0);
-  record.points.push_back({-1, 5, {}});  // codeword 5 of empty codebook
-  EXPECT_EQ(summary.Reconstruct(1, 0).status().code(),
-            StatusCode::kInternal);
+  {
+    TrajectorySummary summary(1, false, std::nullopt);
+    TrajectoryRecord& record = summary.GetOrCreate(1, 0);
+    record.points.push_back({-1, 5, {}});  // codeword 5 of empty codebook
+    EXPECT_EQ(summary.Reconstruct(1, 0).status().code(),
+              StatusCode::kInternal);
+  }
+  // Codeword 2 of the two-word codebook in the middle of the span.
+  {
+    SCOPED_TRACE("index past the codebook");
+    TrajectorySummary summary = MakeWalkSummary(
+        {{-1, 0, {}}, {0, 1, {}}, {0, 2, {}}, {0, 1, {}}});
+    for (Tick t = 1; t < 4; ++t) SetOneCoefficient(summary, t, 1.0);
+    ExpectDecodeStopsAt(summary, {1.0, 1.5});
+  }
+  // A negative codeword on the last point.
+  {
+    SCOPED_TRACE("negative index");
+    TrajectorySummary summary = MakeWalkSummary(
+        {{-1, 0, {}}, {0, 1, {}}, {0, 1, {}}, {0, -1, {}}});
+    for (Tick t = 1; t < 4; ++t) SetOneCoefficient(summary, t, 1.0);
+    ExpectDecodeStopsAt(summary, {1.0, 1.5, 2.0});
+  }
 }
 
 }  // namespace
