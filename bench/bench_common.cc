@@ -67,14 +67,6 @@ void PerfJson::Text(const std::string& key, const std::string& value) {
   records_.back().entries.push_back(std::move(e));
 }
 
-void PerfJson::Raw(const std::string& key, const std::string& json) {
-  Entry e;
-  e.key = key;
-  e.is_raw = true;
-  e.text = json;
-  records_.back().entries.push_back(std::move(e));
-}
-
 namespace {
 
 /// Minimal string escaping — keys/values here are code-controlled
@@ -104,9 +96,7 @@ bool PerfJson::Write(const std::string& path, const std::string& bench) const {
       std::fputs(", ", f);
       WriteJsonString(f, e.key);
       std::fputs(": ", f);
-      if (e.is_raw) {
-        std::fputs(e.text.c_str(), f);
-      } else if (e.is_text) {
+      if (e.is_text) {
         WriteJsonString(f, e.text);
       } else if (std::isfinite(e.number)) {
         std::fprintf(f, "%.17g", e.number);

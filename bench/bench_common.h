@@ -29,8 +29,7 @@ struct BenchOptions {
   /// for laptop runtimes and can be raised with --queries).
   size_t queries = 1000;
   uint64_t seed = 42;
-  /// Serving thread count for the executor-based benches; 0 sweeps a
-  /// ladder (bench_serve) or means "hardware threads" elsewhere.
+  /// Serving thread count (bench_persist's QueryService workers).
   size_t threads = 1;
 };
 
@@ -38,10 +37,9 @@ struct BenchOptions {
 /// flags are ignored.
 BenchOptions ParseArgs(int argc, char** argv);
 
-/// The value of a --json=<path> flag, or "" when absent. Every bench that
-/// supports it writes its machine-readable perf record there (a
-/// BENCH_<name>.json in CI, uploaded as an artifact so future PRs can
-/// diff against this baseline).
+/// The value of a --json=<path> flag, or "" when absent. bench_micro
+/// writes its machine-readable perf record there (BENCH_micro.json in CI,
+/// uploaded as an artifact).
 std::string ParseJsonPath(int argc, char** argv);
 
 /// \brief Accumulates named metric records and writes them as one JSON
@@ -55,10 +53,6 @@ class PerfJson {
   void Field(const std::string& key, double value);
   /// Convenience for string-valued fields (kernel level, workload name).
   void Text(const std::string& key, const std::string& value);
-  /// Attach an already-serialized JSON value verbatim (no escaping) —
-  /// how obs::Registry::RenderJson() embeds the run's metrics snapshot
-  /// into the perf record. The caller owns the value's validity.
-  void Raw(const std::string& key, const std::string& json);
 
   bool empty() const { return records_.empty(); }
   /// Write the document to \p path (overwrites); false on I/O failure.
@@ -68,7 +62,6 @@ class PerfJson {
   struct Entry {
     std::string key;
     bool is_text = false;
-    bool is_raw = false;
     double number = 0.0;
     std::string text;
   };
@@ -81,9 +74,8 @@ class PerfJson {
 
 /// \brief Print one machine-parseable throughput line:
 ///   [throughput] method=<name> phase=<phase> items=<n> seconds=<s> rate=<r>
-/// Phases in use: "encode" (points/sec) and "serve" (queries/sec). The
-/// uniform shape is what lets BENCH_*.json capture a perf trajectory
-/// across runs.
+/// Phases in use: "encode" (points/sec) and "serve" (queries/sec), one
+/// shape across every bench so a run's lines can be grepped together.
 void PrintThroughput(const std::string& method, const char* phase,
                      size_t items, double seconds);
 

@@ -60,7 +60,7 @@ inline double MaxPd(double a, double b) { return a > b ? a : b; }
 
 /// mask[i] = 1 iff pts[i] lies in the half-open rectangle
 /// [min_x, max_x) x [min_y, max_y), else 0. NaN coordinates are never
-/// contained. Matches eval::GridCell::Contains / Window::Contains.
+/// contained. Matches core::Window::Contains.
 void ContainsMask(const Point* pts, size_t n, double min_x, double min_y,
                   double max_x, double max_y, uint8_t* mask);
 void ContainsMaskScalar(const Point* pts, size_t n, double min_x, double min_y,
@@ -72,7 +72,7 @@ void ContainsMaskScalar(const Point* pts, size_t n, double min_x, double min_y,
 
 /// out[i] = Euclidean distance from pts[i] to the rectangle (0 inside),
 /// computed as sqrt(dx*dx + dy*dy) with dx = max(max(min_x - x, 0), x - max_x)
-/// under MaxPd semantics. Matches eval::GridCell::Distance / WindowDistance.
+/// under MaxPd semantics.
 void RegionDistances(const Point* pts, size_t n, double min_x, double min_y,
                      double max_x, double max_y, double* out);
 void RegionDistancesScalar(const Point* pts, size_t n, double min_x,

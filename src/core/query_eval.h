@@ -185,35 +185,12 @@ struct CountingReader {
   double LocalSearchRadius() const { return inner.LocalSearchRadius(); }
 };
 
-/// \brief The global grid cell containing a point, as [min, max) bounds.
-struct GridCell {
-  double min_x, min_y, max_x, max_y;
-
-  bool Contains(const Point& p) const {
-    return p.x >= min_x && p.x < max_x && p.y >= min_y && p.y < max_y;
-  }
-  /// Euclidean distance from p to the cell (0 inside).
-  double Distance(const Point& p) const {
-    const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
-    const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
-    return std::sqrt(dx * dx + dy * dy);
-  }
-  Point Center() const {
-    return {(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
-  }
-};
-
-inline GridCell CellOf(const Point& p, double cell_size) {
+/// The global grid cell containing a point, as half-open [min, max) bounds.
+inline Window CellOf(const Point& p, double cell_size) {
   const double cx = std::floor(p.x / cell_size);
   const double cy = std::floor(p.y / cell_size);
-  return GridCell{cx * cell_size, cy * cell_size, (cx + 1) * cell_size,
-                  (cy + 1) * cell_size};
-}
-
-inline double WindowDistance(const Window& window, const Point& p) {
-  const double dx = std::max({window.min_x - p.x, 0.0, p.x - window.max_x});
-  const double dy = std::max({window.min_y - p.y, 0.0, p.y - window.max_y});
-  return std::sqrt(dx * dx + dy * dy);
+  return Window{cx * cell_size, cy * cell_size, (cx + 1) * cell_size,
+                (cy + 1) * cell_size};
 }
 
 /// \brief Decoded candidate set at one tick: parallel id/position arrays,
@@ -244,90 +221,23 @@ DecodedCandidates DecodeAt(const Reader& reader,
   return out;
 }
 
-/// Spatio-temporal range query at (q.position, q.tick).
+/// Region query: the ids whose position at tick \p t lies in the half-open
+/// rectangle \p region. Every indexed point within the search radius of
+/// the region lies inside the sweep disc: the region's centre, radius
+/// \p half_diag (centre to corner) plus the search radius.
 template <typename Reader>
-StrqResult Strq(const Reader& reader, const TrajectoryDataset* raw,
-                double cell_size, const QuerySpec& q, StrqMode mode) {
+StrqResult RegionQuery(const Reader& reader, const TrajectoryDataset* raw,
+                       const Window& region, double half_diag, Tick t,
+                       StrqMode mode) {
   StrqResult result;
   const index::TemporalPartitionIndex* tpi = reader.index();
   if (tpi == nullptr) return result;
 
-  const GridCell cell = CellOf(q.position, cell_size);
-  const double radius =
-      (mode == StrqMode::kApproximate) ? 0.0 : reader.LocalSearchRadius();
-
-  // Candidate sweep: every indexed point within `radius` of the query cell
-  // lies inside the disc around the cell centre with radius
-  // (cell half-diagonal + radius).
-  StageNanos* const stages = StagesOf(reader);
-  const double sweep = std::sqrt(2.0) / 2.0 * cell_size + radius + 1e-12;
-  std::vector<TrajId> coarse;
-  {
-    PPQ_ZONE("eval.scan");
-    StageTimer timer(stages, ServeStage::kScan);
-    coarse = tpi->QueryCircle(cell.Center(), sweep, q.tick);
-    std::sort(coarse.begin(), coarse.end());
-    coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
-  }
-
-  const DecodedCandidates decoded = DecodeAt(reader, coarse, q.tick);
-  const size_t n = decoded.positions.size();
-
-  PPQ_ZONE("eval.kernel");
-  StageTimer kernel_timer(stages, ServeStage::kKernel);
-  if (mode == StrqMode::kApproximate) {
-    std::vector<uint8_t> mask(n);
-    simd::ContainsMask(decoded.positions.data(), n, cell.min_x, cell.min_y,
-                       cell.max_x, cell.max_y, mask.data());
-    for (size_t i = 0; i < n; ++i) {
-      if (mask[i]) result.ids.push_back(decoded.ids[i]);
-    }
-    return result;
-  }
-
-  std::vector<double> dist(n);
-  simd::RegionDistances(decoded.positions.data(), n, cell.min_x, cell.min_y,
-                        cell.max_x, cell.max_y, dist.data());
-  for (size_t i = 0; i < n; ++i) {
-    if (dist[i] > radius) continue;  // cannot be in the cell by Lemma 3
-    const TrajId id = decoded.ids[i];
-    if (mode == StrqMode::kLocalSearch) {
-      result.ids.push_back(id);
-      continue;
-    }
-    // kExact: verify against the raw trajectory. Ids beyond the dataset
-    // (a mismatched verification set) cannot be verified and are dropped.
-    ++result.candidates_visited;
-    if (raw != nullptr && static_cast<size_t>(id) < raw->size()) {
-      const Trajectory& traj = (*raw)[static_cast<size_t>(id)];
-      if (traj.ActiveAt(q.tick) && cell.Contains(traj.At(q.tick))) {
-        result.ids.push_back(id);
-      }
-    }
-  }
-  return result;
-}
-
-/// Window query: trajectories inside an arbitrary rectangle at tick t.
-template <typename Reader>
-StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
-                       const Window& window, Tick t, StrqMode mode) {
-  StrqResult result;
-  const index::TemporalPartitionIndex* tpi = reader.index();
-  if (tpi == nullptr) return result;
-  if (window.max_x <= window.min_x || window.max_y <= window.min_y) {
-    return result;
-  }
-
   StageNanos* const stages = StagesOf(reader);
   const double radius =
       (mode == StrqMode::kApproximate) ? 0.0 : reader.LocalSearchRadius();
-  const Point center{(window.min_x + window.max_x) / 2.0,
-                     (window.min_y + window.max_y) / 2.0};
-  const double half_diag =
-      std::sqrt((window.max_x - window.min_x) * (window.max_x - window.min_x) +
-                (window.max_y - window.min_y) * (window.max_y - window.min_y)) /
-      2.0;
+  const Point center{(region.min_x + region.max_x) / 2.0,
+                     (region.min_y + region.max_y) / 2.0};
   std::vector<TrajId> coarse;
   {
     PPQ_ZONE("eval.scan");
@@ -344,8 +254,8 @@ StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
   StageTimer kernel_timer(stages, ServeStage::kKernel);
   if (mode == StrqMode::kApproximate) {
     std::vector<uint8_t> mask(n);
-    simd::ContainsMask(decoded.positions.data(), n, window.min_x,
-                       window.min_y, window.max_x, window.max_y, mask.data());
+    simd::ContainsMask(decoded.positions.data(), n, region.min_x,
+                       region.min_y, region.max_x, region.max_y, mask.data());
     for (size_t i = 0; i < n; ++i) {
       if (mask[i]) result.ids.push_back(decoded.ids[i]);
     }
@@ -353,24 +263,50 @@ StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
   }
 
   std::vector<double> dist(n);
-  simd::RegionDistances(decoded.positions.data(), n, window.min_x,
-                        window.min_y, window.max_x, window.max_y, dist.data());
+  simd::RegionDistances(decoded.positions.data(), n, region.min_x,
+                        region.min_y, region.max_x, region.max_y, dist.data());
   for (size_t i = 0; i < n; ++i) {
-    if (dist[i] > radius) continue;
+    if (dist[i] > radius) continue;  // cannot be in the region by Lemma 3
     const TrajId id = decoded.ids[i];
     if (mode == StrqMode::kLocalSearch) {
       result.ids.push_back(id);
       continue;
     }
+    // kExact: verify against the raw trajectory. Ids beyond the dataset
+    // (a mismatched verification set) cannot be verified and are dropped.
     ++result.candidates_visited;
     if (raw != nullptr && static_cast<size_t>(id) < raw->size()) {
       const Trajectory& traj = (*raw)[static_cast<size_t>(id)];
-      if (traj.ActiveAt(t) && window.Contains(traj.At(t))) {
+      if (traj.ActiveAt(t) && region.Contains(traj.At(t))) {
         result.ids.push_back(id);
       }
     }
   }
   return result;
+}
+
+/// Spatio-temporal range query at (q.position, q.tick): a region query
+/// over the query point's grid cell.
+template <typename Reader>
+StrqResult Strq(const Reader& reader, const TrajectoryDataset* raw,
+                double cell_size, const QuerySpec& q, StrqMode mode) {
+  return RegionQuery(reader, raw, CellOf(q.position, cell_size),
+                     std::sqrt(2.0) / 2.0 * cell_size, q.tick, mode);
+}
+
+/// Window query: trajectories inside an arbitrary rectangle at tick t. A
+/// window without interior contains nothing.
+template <typename Reader>
+StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
+                       const Window& window, Tick t, StrqMode mode) {
+  if (window.max_x <= window.min_x || window.max_y <= window.min_y) {
+    return StrqResult{};
+  }
+  const double width = window.max_x - window.min_x;
+  const double height = window.max_y - window.min_y;
+  return RegionQuery(reader, raw, window,
+                     std::sqrt(width * width + height * height) / 2.0, t,
+                     mode);
 }
 
 /// k-nearest-trajectory query, answered entirely from the summary via an

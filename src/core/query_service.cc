@@ -268,14 +268,6 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
         &response.stats, &stages};
   };
 
-  // Tail scans attribute to the tail stage (the timer destructor fires
-  // after the return value is materialized, so only the scan is timed).
-  const auto tail_matches = [&](size_t s, Tick tick, const Window& rect,
-                                StrqMode mode) -> StrqResult {
-    PPQ_ZONE("eval.tail");
-    eval::StageTimer timer(&stages, ServeStage::kTail);
-    return TailMatches(*views[s], tick, rect, mode);
-  };
   const auto tail_point_of = [&](size_t s, TrajId id,
                                  Tick tick) -> const Point* {
     eval::StageTimer timer(&stages, ServeStage::kTail);
@@ -285,15 +277,23 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
     eval::StageTimer timer(&stages, ServeStage::kMerge);
     return MergeStrq(std::move(parts));
   };
-  // Shard s's sealed and tail STRQ parts — the core of STRQ and TPQ.
+  // Shard s's parts of one region query: the seal's answer, and on a live
+  // shard the tail points inside the same region, timed as the tail stage.
+  const auto add_region_parts = [&](size_t s, StrqResult sealed,
+                                    const Window& region, Tick tick,
+                                    StrqMode mode,
+                                    std::vector<StrqResult>& parts) {
+    parts.push_back(std::move(sealed));
+    if (views[s]->tail == nullptr) return;
+    PPQ_ZONE("eval.tail");
+    eval::StageTimer timer(&stages, ServeStage::kTail);
+    parts.push_back(TailMatches(*views[s], tick, region, mode));
+  };
+  // STRQ (and TPQ's STRQ) is the region query over the query's grid cell.
   const auto add_strq_parts = [&](size_t s, const QuerySpec& q, StrqMode mode,
                                   std::vector<StrqResult>& parts) {
-    parts.push_back(eval::Strq(reader(s), raw, cell_size, q, mode));
-    if (views[s]->tail == nullptr) return;
-    const eval::GridCell cell = eval::CellOf(q.position, cell_size);
-    parts.push_back(tail_matches(
-        s, q.tick, Window{cell.min_x, cell.min_y, cell.max_x, cell.max_y},
-        mode));
+    add_region_parts(s, eval::Strq(reader(s), raw, cell_size, q, mode),
+                     eval::CellOf(q.position, cell_size), q.tick, mode, parts);
   };
 
   const auto start = std::chrono::steady_clock::now();
@@ -315,11 +315,9 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
             std::vector<StrqResult> parts;
             parts.reserve(2 * num_shards);
             for (size_t s = 0; s < num_shards; ++s) {
-              parts.push_back(
-                  eval::WindowQuery(reader(s), raw, window, tick, r.mode));
-              if (views[s]->tail != nullptr) {
-                parts.push_back(tail_matches(s, tick, window, r.mode));
-              }
+              add_region_parts(
+                  s, eval::WindowQuery(reader(s), raw, window, tick, r.mode),
+                  window, tick, r.mode, parts);
             }
             StrqResult merged = merge_strq(std::move(parts));
             response.stats.candidates_visited = merged.candidates_visited;

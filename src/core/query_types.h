@@ -160,7 +160,7 @@ Overloaded(Ts...) -> Overloaded<Ts...>;
 /// \brief The stages of one served request, in lifecycle order. Every
 /// QueryResponse carries a per-stage wall-time breakdown
 /// (QueryStats::stage_micros) so a p99 regression is attributable to a
-/// stage, not just a number in bench_serve. The same vocabulary names the
+/// stage, not just an end-to-end number. The same vocabulary names the
 /// registry histograms (`ppq_serve_<stage>_micros`, src/obs/metrics.h).
 enum class ServeStage : size_t {
   kQueue = 0,   ///< dispatcher queue wait (submit -> worker pickup)

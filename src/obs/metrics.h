@@ -26,12 +26,11 @@
 /// Histograms use fixed log2 buckets: bucket 0 holds the value 0, bucket i
 /// (i >= 1) holds values v with bit_width(v) == i, i.e. [2^(i-1), 2^i).
 /// Because the bucket boundaries are fixed, any two snapshots merge by
-/// adding bucket counts, and p50/p95/p99/max are derivable from any merge —
-/// the property the scatter-gather bench reports rely on.
+/// adding bucket counts, and p50/p95/p99/max are derivable from any merge
+/// (per-shard series sum into one distribution).
 ///
 /// Exporters: RenderPrometheus() emits Prometheus text exposition format;
-/// RenderJson() emits a JSON object that bench::PerfJson embeds verbatim
-/// via PerfJson::Raw().
+/// RenderJson() emits the same snapshot as one JSON object.
 ///
 /// Metric naming scheme (see README "Observability"):
 ///   ppq_<layer>_<stage>_micros   latency histograms (serve / ingest / wal /
@@ -202,7 +201,7 @@ class Registry {
   std::string RenderPrometheus() const PPQ_EXCLUDES(mu_);
 
   /// JSON object: {"counters":[...],"gauges":[...],"histograms":[...]}
-  /// with p50/p95/p99/max per histogram. Embeddable via PerfJson::Raw.
+  /// with p50/p95/p99/max per histogram.
   std::string RenderJson() const PPQ_EXCLUDES(mu_);
 
  private:

@@ -15,8 +15,8 @@
 /// (CMake `-DPPQ_TRACE=ON`), both macros expand to NOTHING — zero tokens,
 /// zero symbols, zero branches in the hot path. tests/obs_test.cc proves
 /// the expansion is empty by stringifying it. The drain API below is always
-/// compiled (so `bench_serve --trace-out=...` links in either mode); in an
-/// untraced build it writes an empty-but-valid trace.
+/// compiled (so its callers link in either mode); in an untraced build it
+/// writes an empty-but-valid trace.
 ///
 /// Names passed to PPQ_ZONE must be string literals (or otherwise outlive
 /// the drain) — the ring stores the pointer, not a copy.

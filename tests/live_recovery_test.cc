@@ -3,7 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,10 +27,12 @@
 /// Crash consistency for the durable LiveRepository: kill the process
 /// image mid-ingest (by copying the directory without Quiesce — the
 /// power-loss snapshot), reopen, and demand exact-mode STRQ/window
-/// answers equal to ground truth at the recovered frontier. Plus the
-/// hostile open paths: torn final record, bit-flipped record, stale and
-/// future epochs, missing/zero-byte/garbage logs, forged shard routing,
-/// and a truncation sweep over every byte boundary of a real log.
+/// answers equal to ground truth at the recovered frontier — and once
+/// for real, in a child process killed by std::_Exit. Plus the hostile
+/// open paths: torn final record, bit-flipped record, stale and future
+/// epochs, missing/zero-byte/garbage logs, forged shard routing, and a
+/// truncation sweep over every byte boundary of a real log; and the
+/// write path's per-shard stage histograms.
 
 namespace ppq::repo {
 namespace {
@@ -269,6 +273,58 @@ TEST(LiveRecoveryTest, RecoverWithoutQuiesceMidIngestMatchesGroundTruth) {
               PointsThrough(*data, data->MaxTick()));
     ExpectExactParity(*recovered, data, data->MaxTick(), /*query_seed=*/6);
   }
+}
+
+TEST(LiveRecoveryDeathTest, ProcessKilledMidIngestRecoversTheSyncedPrefix) {
+  // The process-kill crash: a child ingests a durable repository through
+  // a mid-stream tick, syncs its logs and dies by std::_Exit — no WAL
+  // close, no pool drain, background seals killed wherever they are. The
+  // parent reopens the directory the child left. The child re-runs this
+  // test from the top (threadsafe style), so the statement reports its
+  // own failures by exit code rather than through gtest assertions.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  const std::string dir = FreshDir("killed_dir");
+  LiveRepository::Options options;
+  options.num_shards = 4;
+  options.num_threads = 2;
+  options.watermark_ticks = 4;  // seals in flight at the kill
+  options.watermark_points = 0;
+  options.wal_sync_interval = 1;
+  const Tick crash_at = (data->MinTick() + data->MaxTick()) / 2;
+
+  EXPECT_EXIT(
+      {
+        auto opened = LiveRepository::Open(dir, PpqAFactory(), options);
+        if (!opened.ok()) std::_Exit(1);
+        for (Tick t = data->MinTick(); t <= crash_at; ++t) {
+          const PointBatch batch = data->BatchAt(t);
+          if (!batch.empty() && !(*opened)->Append(batch).ok()) std::_Exit(1);
+        }
+        if (!(*opened)->SyncWal().ok()) std::_Exit(1);
+        std::_Exit(2);
+      },
+      ::testing::ExitedWithCode(2), "");
+
+  auto recovered = OpenLiveRepository(dir, PpqAFactory(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  const auto live = *recovered;
+  EXPECT_TRUE(live->DurabilityError().ok());
+  EXPECT_EQ(live->TotalPointsAppended(), PointsThrough(*data, crash_at));
+  ExpectExactParity(live, data, crash_at, /*query_seed=*/13);
+
+  // The recovered encoder resumes the stream exactly.
+  for (Tick t = crash_at + 1; t < data->MaxTick(); ++t) {
+    const PointBatch batch = data->BatchAt(t);
+    if (!batch.empty()) {
+      ASSERT_TRUE(live->Append(batch).ok());
+    }
+  }
+  live->RollAll();
+  live->Quiesce();
+  EXPECT_EQ(live->TotalPointsAppended(),
+            PointsThrough(*data, data->MaxTick()));
+  ExpectExactParity(live, data, data->MaxTick(), /*query_seed=*/14);
 }
 
 // -------------------------------------------------------------------------
@@ -844,6 +900,55 @@ TEST(LiveRecoveryTest, ConcurrentDurableAppendsThenRecover) {
   EXPECT_EQ((*recovered)->TotalPointsAppended(),
             PointsThrough(*data, data->MaxTick()));
   ExpectExactParity(*recovered, data, data->MaxTick(), /*query_seed=*/9);
+}
+
+// -------------------------------------------------------------------------
+// Write-path stage reporting
+// -------------------------------------------------------------------------
+
+TEST(LiveRecoveryTest, DurableIngestObservesEveryStage) {
+  // Every write-path stage of every shard reports into its histogram:
+  // append, flush and seal, and the WAL's append, sync and rotate.
+  const TrajectoryDataset data = SmallDataset();
+  const std::string dir = FreshDir("stages_dir");
+  LiveRepository::Options options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  options.watermark_ticks = 8;
+  options.watermark_points = 0;
+  options.wal_sync_interval = 4;
+
+  const char* const kStages[] = {
+      "ppq_ingest_append_micros", "ppq_ingest_flush_micros",
+      "ppq_ingest_seal_micros",   "ppq_wal_append_micros",
+      "ppq_wal_sync_micros",      "ppq_wal_rotate_micros"};
+  obs::Registry& registry = obs::Registry::Default();
+  const auto counts = [&] {
+    std::vector<uint64_t> out;
+    for (uint32_t shard = 0; shard < options.num_shards; ++shard) {
+      for (const char* stage : kStages) {
+        out.push_back(registry.GetHistogram(stage, obs::ShardLabel(shard))
+                          ->Snapshot()
+                          .count);
+      }
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = counts();
+
+  auto opened = LiveRepository::Open(dir, PpqAFactory(), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  IngestThrough(**opened, data, data.MaxTick());
+  (*opened)->RollAll();
+  (*opened)->Quiesce();
+  EXPECT_TRUE((*opened)->DurabilityError().ok());
+
+  const std::vector<uint64_t> after = counts();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_GT(after[i], before[i])
+        << kStages[i % std::size(kStages)] << " on shard "
+        << i / std::size(kStages);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +18,8 @@
 #include "core/metrics.h"
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 /// \file query_service_test.cc
@@ -29,8 +34,10 @@
 /// (query_backend_test.cc); this suite keeps what is specific to serving
 /// one snapshot — eager scratch reclamation on swap, the shared_ptr-owned
 /// verification dataset that closes the old raw-pointer lifetime footgun,
-/// and seals staying immutable under continued encoding / outliving their
-/// compressor.
+/// seals staying immutable under continued encoding / outliving their
+/// compressor — and the serve path's own reporting: per-response stage
+/// books, the serve histograms, and (in a -DPPQ_TRACE=ON build) the
+/// drained zone trace.
 
 namespace ppq::core {
 namespace {
@@ -239,6 +246,113 @@ TEST(QueryServiceTest, PerQueryStatsCountVerificationCandidates) {
     }
   }
 }
+
+TEST(QueryServiceTest, StageAccountingBalances) {
+  // Closed-loop submitters drive the mixed stream. In every response the
+  // queue stage is the queue wait, the evaluation's stages are disjoint
+  // sub-intervals of it, and queue wait plus evaluation are disjoint
+  // sub-intervals of the submitter's own submit -> get() time. Every
+  // duration truncates to whole micros, so no check needs slack.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  PpqOptions options = MakePpqA();
+  PpqTrajectory method(options);
+  method.Compress(*data);
+  Rng rng(37);
+  const auto queries = SampleQueries(*data, 30, &rng);
+  const auto requests =
+      MakeRequests(queries, test::SampleWindows(*data, 15, &rng));
+
+  QueryService::Options serve_options;
+  serve_options.num_threads = 2;
+  serve_options.raw = data;
+  serve_options.cell_size = options.tpi.pi.cell_size;
+  QueryService service(method.Seal(), serve_options);
+  obs::Histogram* const eval_hist =
+      obs::Registry::Default().GetHistogram("ppq_serve_eval_micros");
+  const uint64_t observed_before = eval_hist->Snapshot().count;
+
+  constexpr size_t kSubmitters = 4;
+  std::vector<std::thread> submitters;
+  for (size_t first = 0; first < kSubmitters; ++first) {
+    submitters.emplace_back([&, first] {
+      for (size_t i = first; i < requests.size(); i += kSubmitters) {
+        const auto start = std::chrono::steady_clock::now();
+        const QueryResponse response = service.Submit(requests[i]).get();
+        const auto wall_micros = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        const QueryStats& stats = response.stats;
+        EXPECT_EQ(stats.stage_micros[static_cast<size_t>(ServeStage::kQueue)],
+                  stats.queue_micros)
+            << "request " << i;
+        uint64_t eval_stages = 0;
+        for (size_t st = 0; st < kNumServeStages; ++st) {
+          if (st != static_cast<size_t>(ServeStage::kQueue)) {
+            eval_stages += stats.stage_micros[st];
+          }
+        }
+        EXPECT_LE(eval_stages, stats.eval_micros) << "request " << i;
+        EXPECT_LE(stats.queue_micros + stats.eval_micros, wall_micros)
+            << "request " << i;
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  // The registry saw each response exactly once.
+  EXPECT_EQ(eval_hist->Snapshot().count - observed_before, requests.size());
+}
+
+#if defined(PPQ_TRACE)
+TEST(QueryServiceTest, ServeZonesDrainToChromeTrace) {
+  // A traced build records the serve path's zones on the workers; drained,
+  // they are chrome://tracing complete events with non-negative durations.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  PpqOptions options = MakePpqA();
+  PpqTrajectory method(options);
+  method.Compress(*data);
+  Rng rng(43);
+  const auto queries = SampleQueries(*data, 10, &rng);
+  const auto requests =
+      MakeRequests(queries, test::SampleWindows(*data, 5, &rng));
+
+  obs::trace::Reset();
+  {
+    QueryService::Options serve_options;
+    serve_options.num_threads = 2;
+    serve_options.raw = data;
+    serve_options.cell_size = options.tpi.pi.cell_size;
+    QueryService service(method.Seal(), serve_options);
+    for (auto& future : service.SubmitBatch(requests)) future.get();
+  }
+  // A fixed name, so a CI job can keep the file as an artifact.
+  const std::string path = ::testing::TempDir() + "/ppq_serve_trace.json";
+  ASSERT_TRUE(obs::trace::WriteChromeTrace(path));
+  const std::vector<uint8_t> bytes = test::ReadFileBytes(path);
+  const std::string trace(bytes.begin(), bytes.end());
+
+  // Each event is one flat object opening with its name:
+  // {"name":"...","ph":"X","ts":...,"dur":...,"pid":0,"tid":N[,"args":..]}
+  const std::string open = "{\"name\":\"";
+  std::set<std::string> names;
+  for (size_t at = trace.find(open); at != std::string::npos;
+       at = trace.find(open, at + 1)) {
+    const size_t name_begin = at + open.size();
+    names.insert(
+        trace.substr(name_begin, trace.find('"', name_begin) - name_begin));
+    const std::string event = trace.substr(at, trace.find('}', at) - at);
+    EXPECT_NE(event.find("\"ph\":\"X\""), std::string::npos) << event;
+    const size_t dur = event.find("\"dur\":");
+    ASSERT_NE(dur, std::string::npos) << event;
+    EXPECT_GE(std::strtod(event.c_str() + dur + 6, nullptr), 0.0) << event;
+  }
+  for (const char* zone :
+       {"serve.evaluate", "eval.scan", "eval.decode", "eval.kernel"}) {
+    EXPECT_EQ(names.count(zone), 1u) << "no " << zone << " event in " << path;
+  }
+  obs::trace::Reset();
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Swap semantics of a single served snapshot

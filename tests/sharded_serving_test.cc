@@ -377,7 +377,8 @@ TEST(ShardedMergeTest, ExactModeAnswersAreShardCountInvariant) {
   // kExact verifies every candidate against the raw data, so the id sets
   // it returns must not depend on how the repository was sharded — even
   // though each shard count quantizes (and therefore reconstructs)
-  // differently.
+  // differently. And recall 1 survives sharding: local search at N shards
+  // returns every exact answer.
   const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
   const double cell = core::PpqOptions{}.tpi.pi.cell_size;
 
@@ -398,11 +399,22 @@ TEST(ShardedMergeTest, ExactModeAnswersAreShardCountInvariant) {
     options.raw = data;
     options.cell_size = cell;
     QueryService service(repository->shards(), options);
+    // Both id lists ascend (the merge contract).
+    const auto expect_local_covers = [&](const QueryResponse& exact,
+                                         const QueryRequest& local) {
+      const std::vector<TrajId> local_ids =
+          service.Submit(local).get().strq().ids;
+      EXPECT_TRUE(std::includes(local_ids.begin(), local_ids.end(),
+                                exact.strq().ids.begin(),
+                                exact.strq().ids.end()))
+          << num_shards << " shards";
+    };
     for (const QuerySpec& q : queries) {
       const QueryResponse response =
           service.Submit(StrqRequest{q, StrqMode::kExact}).get();
       EXPECT_EQ(response.strq().ids, engine.Strq(q, StrqMode::kExact).ids)
           << num_shards << " shards";
+      expect_local_covers(response, StrqRequest{q, StrqMode::kLocalSearch});
     }
     for (const WindowSpec& w : windows) {
       const QueryResponse response =
@@ -410,6 +422,7 @@ TEST(ShardedMergeTest, ExactModeAnswersAreShardCountInvariant) {
       EXPECT_EQ(response.strq().ids,
                 engine.WindowQuery(w.window, w.tick, StrqMode::kExact).ids)
           << num_shards << " shards";
+      expect_local_covers(response, WindowRequest{w, StrqMode::kLocalSearch});
     }
   }
 }
