@@ -14,7 +14,9 @@
 /// batching — which must hold >= 2x; the binary exits non-zero when it
 /// does not (gate=skipped in -DPPQ_SIMD=OFF builds, where there is no
 /// SIMD side to compare). The other kernel lines are instruction-level
-/// scalar-reference-vs-dispatched ratios, reported for the perf trail.
+/// scalar-reference-vs-dispatched ratios, reported for the perf trail;
+/// kernel=crc32 compares the byte-at-a-time CRC-32 loop (scalar_ns) with
+/// the portable slicing-by-8 Crc32 (simd_ns), per byte.
 ///
 /// --json=<path> additionally writes every [micro] record (plus the
 /// google-benchmark-independent fields) as a BENCH_micro.json.
@@ -33,6 +35,7 @@
 
 #include "bench/bench_common.h"
 #include "common/random.h"
+#include "common/serial.h"
 #include "common/simd.h"
 #include "core/query_eval.h"
 #include "cqc/cqc_codec.h"
@@ -521,6 +524,38 @@ int RunKernelGate(const std::string& json_path) {
                                cols.data(), kN, kN, kDim, centroids.data(),
                                best.data());
                            benchmark::DoNotOptimize(best.data());
+                         }),
+           /*gated=*/false);
+  }
+
+  {
+    // CRC-32 over 1 MiB: the byte-at-a-time table loop against Crc32's
+    // slicing-by-8; ns per byte.
+    constexpr size_t kBytes = size_t{1} << 20;
+    Rng rng(13);
+    std::vector<uint8_t> bytes(kBytes);
+    for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+    uint32_t table[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    report("crc32", kBytes,
+           BestNsPerItem(kBytes, kReps, 4,
+                         [&] {
+                           uint32_t c = 0xFFFFFFFFu;
+                           for (const uint8_t b : bytes) {
+                             c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+                           }
+                           benchmark::DoNotOptimize(c);
+                         }),
+           BestNsPerItem(kBytes, kReps, 4,
+                         [&] {
+                           const uint32_t c = Crc32(bytes.data(), kBytes);
+                           benchmark::DoNotOptimize(c);
                          }),
            /*gated=*/false);
   }

@@ -26,23 +26,57 @@ namespace ppq {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of \p size bytes.
 /// \p seed allows incremental computation: pass the previous result.
+/// Slicing-by-8 (Kounavis & Berry, ISCC 2005): eight table lookups per
+/// 8-byte word, the byte-at-a-time loop only for the tail.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
+
+/// Little-endian fixed-width stores and loads at any alignment. Built
+/// from shifts, so they hold on any host byte order; compilers fold each
+/// into one move on little-endian targets.
+inline void StoreU32LE(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+inline void StoreU64LE(uint8_t* p, uint64_t v) {
+  StoreU32LE(p, static_cast<uint32_t>(v));
+  StoreU32LE(p + 4, static_cast<uint32_t>(v >> 32));
+}
+inline void StoreF64LE(uint8_t* p, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU64LE(p, bits);
+}
+inline uint32_t LoadU32LE(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+inline uint64_t LoadU64LE(const uint8_t* p) {
+  return uint64_t{LoadU32LE(p)} | uint64_t{LoadU32LE(p + 4)} << 32;
+}
 
 /// \brief Append-only little-endian byte sink.
 class ByteWriter {
  public:
+  void Reserve(size_t size) { buffer_.reserve(size); }
+
   void WriteU8(uint8_t v) { buffer_.push_back(v); }
   void WriteU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buffer_.push_back(uint8_t(v >> (8 * i)));
+    uint8_t bytes[4];
+    StoreU32LE(bytes, v);
+    WriteBytes(bytes, sizeof(bytes));
   }
   void WriteU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buffer_.push_back(uint8_t(v >> (8 * i)));
+    uint8_t bytes[8];
+    StoreU64LE(bytes, v);
+    WriteBytes(bytes, sizeof(bytes));
   }
   void WriteI32(int32_t v) { WriteU32(static_cast<uint32_t>(v)); }
   void WriteF64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    WriteU64(bits);
+    uint8_t bytes[8];
+    StoreF64LE(bytes, v);
+    WriteBytes(bytes, sizeof(bytes));
   }
   void WriteBytes(const void* data, size_t size) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -52,6 +86,14 @@ class ByteWriter {
   void WriteString(const std::string& s) {
     WriteU32(static_cast<uint32_t>(s.size()));
     WriteBytes(s.data(), s.size());
+  }
+  /// Append \p size zero bytes and return where they start, for a caller
+  /// that fills a block of fixed-width fields with the Store*LE helpers.
+  /// The pointer is valid until the next write.
+  uint8_t* Extend(size_t size) {
+    const size_t offset = buffer_.size();
+    buffer_.resize(offset + size);
+    return buffer_.data() + offset;
   }
 
   size_t size() const { return buffer_.size(); }
@@ -79,14 +121,14 @@ class ByteReader {
   }
   Result<uint32_t> ReadU32() {
     if (Remaining() < 4) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t(data_[position_++]) << (8 * i);
+    const uint32_t v = LoadU32LE(data_ + position_);
+    position_ += 4;
     return v;
   }
   Result<uint64_t> ReadU64() {
     if (Remaining() < 8) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t(data_[position_++]) << (8 * i);
+    const uint64_t v = LoadU64LE(data_ + position_);
+    position_ += 8;
     return v;
   }
   Result<int32_t> ReadI32() {
@@ -103,10 +145,17 @@ class ByteReader {
   }
   Status ReadBytes(void* out, size_t size) {
     if (Remaining() < size) return Truncated();
-    uint8_t* dst = static_cast<uint8_t*>(out);
-    for (size_t i = 0; i < size; ++i) dst[i] = data_[position_ + i];
+    if (size > 0) std::memcpy(out, data_ + position_, size);
     position_ += size;
     return Status::OK();
+  }
+  /// Advance past \p size bytes and return where they start, for a caller
+  /// that decodes a block of fixed-width fields with the Load*LE helpers.
+  Result<const uint8_t*> Take(size_t size) {
+    if (Remaining() < size) return Truncated();
+    const uint8_t* block = data_ + position_;
+    position_ += size;
+    return block;
   }
   Result<std::string> ReadString() {
     auto n = ReadU32();

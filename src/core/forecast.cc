@@ -30,14 +30,18 @@ Result<Forecast> Forecaster::Predict(TrajId id, Tick from, int steps) const {
   // Latest fitted coefficients for this trajectory: walk backwards from
   // `from` until a point with a fitted partition appears.
   Forecast forecast;
+  const CoefficientTable& table = summary_->coefficients();
   bool found = false;
   for (Tick t = from; t >= record->start_tick && !found; --t) {
     const PointRecord& pr = record->At(t);
     if (pr.partition < 0) continue;
-    const auto cit = summary_->coefficients().find(t);
-    if (cit == summary_->coefficients().end()) continue;
-    if (static_cast<size_t>(pr.partition) >= cit->second.size()) continue;
-    forecast.coefficients = cit->second[static_cast<size_t>(pr.partition)];
+    const size_t ti = table.Find(t);
+    if (ti == table.NumTicks()) continue;
+    if (static_cast<size_t>(pr.partition) >= table.NumSets(ti)) continue;
+    const CoefficientTable::Set set =
+        table.SetAt(ti, static_cast<size_t>(pr.partition));
+    forecast.coefficients.coefficients.assign(set.values,
+                                              set.values + set.size);
     found = !forecast.coefficients.empty();
   }
   if (!found) {

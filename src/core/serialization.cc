@@ -1,5 +1,6 @@
 #include "core/serialization.h"
 
+#include <cassert>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -29,24 +30,14 @@ constexpr uint32_t kSnapshotMetaVersion = 1;
 constexpr uint8_t kKindPpq = 1;
 constexpr uint8_t kKindMaterialized = 2;
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IOError("cannot stat: " + path);
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IOError("short read: " + path);
-  }
-  return bytes;
-}
-
 // -------------------------------------------------------------------------
 // Summary payload codec (v2). Field order mirrors the legacy v1 layout so
 // the two decoders share their shape; only the framing differs.
 // -------------------------------------------------------------------------
+
+/// Bytes per point record: i32 partition, i32 codeword, u64 CQC bits and
+/// i32 CQC length.
+constexpr size_t kPointRecordBytes = 20;
 
 void EncodeCodebook(const quantizer::Codebook& codebook, ByteWriter* out) {
   out->WriteU64(codebook.size());
@@ -81,6 +72,24 @@ bool SpanFitsTickRange(int32_t start, uint64_t count) {
   return count <= static_cast<uint64_t>(std::numeric_limits<int32_t>::max()) &&
          static_cast<int64_t>(start) + static_cast<int64_t>(count) <=
              static_cast<int64_t>(std::numeric_limits<int32_t>::max());
+}
+
+/// Bytes EncodeSummary appends for \p summary, so the section is sized
+/// once.
+size_t EncodedSummaryBytes(const TrajectorySummary& summary) {
+  constexpr size_t kCodewordBytes = 16;  // two f64
+  size_t bytes = 4 + 4 + 1 + (summary.has_cqc() ? 16 : 0);
+  bytes += 8 + kCodewordBytes * summary.codebook().size();
+  bytes += 8;
+  for (const auto& [tick, codebook] : summary.tick_codebooks()) {
+    bytes += 4 + 8 + kCodewordBytes * codebook.size();
+  }
+  const CoefficientTable& table = summary.coefficients();
+  bytes += 8 + (4 + 8) * table.NumTicks() + 8 * table.NumValues();
+  for (size_t i = 0; i < table.NumTicks(); ++i) bytes += 8 * table.NumSets(i);
+  bytes += 8 + (4 + 4 + 8) * summary.NumTrajectories() +
+           kPointRecordBytes * summary.TotalPoints();
+  return bytes;
 }
 
 /// Decode the body shared by the v2 payload and the legacy v1 file (both
@@ -123,24 +132,30 @@ Result<TrajectorySummary> DecodeSummaryBody(ByteReader* in) {
 
   auto coeff_ticks = in->ReadCount(12);  // i32 tick + u64 partitions
   if (!coeff_ticks.ok()) return coeff_ticks.status();
+  const CoefficientTable& table = summary.coefficients();
+  std::vector<predictor::PredictionCoefficients> sets;  // reused per tick
   for (uint64_t i = 0; i < *coeff_ticks; ++i) {
     auto tick = in->ReadI32();
     if (!tick.ok()) return tick.status();
+    // The table is tick-sorted and the encoder writes it in order, so a
+    // repeated or descending tick is forged.
+    if (table.NumTicks() > 0 && *tick <= table.TickAt(table.NumTicks() - 1)) {
+      return Status::Invalid("summary: coefficient ticks out of order");
+    }
     auto partitions = in->ReadCount(8);  // u64 coefficient count each
     if (!partitions.ok()) return partitions.status();
-    std::vector<predictor::PredictionCoefficients> coeffs(
-        static_cast<size_t>(*partitions));
-    for (uint64_t p = 0; p < *partitions; ++p) {
+    sets.resize(static_cast<size_t>(*partitions));
+    for (predictor::PredictionCoefficients& set : sets) {
       auto n = in->ReadCount(8);  // f64 per coefficient
       if (!n.ok()) return n.status();
-      coeffs[p].coefficients.resize(static_cast<size_t>(*n));
-      for (uint64_t c = 0; c < *n; ++c) {
-        auto value = in->ReadF64();
-        if (!value.ok()) return value.status();
-        coeffs[p].coefficients[c] = *value;
+      set.coefficients.resize(static_cast<size_t>(*n));
+      for (double& value : set.coefficients) {
+        auto read = in->ReadF64();
+        if (!read.ok()) return read.status();
+        value = *read;
       }
     }
-    summary.SetCoefficients(*tick, std::move(coeffs));
+    summary.SetCoefficients(*tick, sets);
   }
 
   auto record_count = in->ReadCount(16);  // id + start + point count
@@ -150,7 +165,7 @@ Result<TrajectorySummary> DecodeSummaryBody(ByteReader* in) {
     if (!id.ok()) return id.status();
     auto start = in->ReadI32();
     if (!start.ok()) return start.status();
-    auto points = in->ReadCount(20);  // partition + codeword + cqc
+    auto points = in->ReadCount(kPointRecordBytes);
     if (!points.ok()) return points.status();
     if (!SpanFitsTickRange(*start, *points)) {
       return Status::Invalid("summary: record tick span overflows");
@@ -162,23 +177,17 @@ Result<TrajectorySummary> DecodeSummaryBody(ByteReader* in) {
     if (summary.Find(*id) != nullptr) {
       return Status::Invalid("summary: duplicate trajectory id");
     }
+    auto block = in->Take(static_cast<size_t>(*points) * kPointRecordBytes);
+    if (!block.ok()) return block.status();
     TrajectoryRecord& record = summary.GetOrCreate(*id, *start);
-    record.points.reserve(static_cast<size_t>(*points));
-    for (uint64_t p = 0; p < *points; ++p) {
-      PointRecord pr;
-      auto partition = in->ReadI32();
-      if (!partition.ok()) return partition.status();
-      auto codeword = in->ReadI32();
-      if (!codeword.ok()) return codeword.status();
-      auto bits = in->ReadU64();
-      if (!bits.ok()) return bits.status();
-      auto length = in->ReadI32();
-      if (!length.ok()) return length.status();
-      pr.partition = *partition;
-      pr.codeword = *codeword;
-      pr.cqc.bits = *bits;
-      pr.cqc.length = *length;
-      record.points.push_back(pr);
+    record.points.resize(static_cast<size_t>(*points));
+    const uint8_t* src = *block;
+    for (PointRecord& pr : record.points) {
+      pr.partition = static_cast<int32_t>(LoadU32LE(src));
+      pr.codeword = static_cast<int32_t>(LoadU32LE(src + 4));
+      pr.cqc.bits = LoadU64LE(src + 8);
+      pr.cqc.length = static_cast<int32_t>(LoadU32LE(src + 16));
+      src += kPointRecordBytes;
     }
   }
   return summary;
@@ -434,7 +443,7 @@ Result<SectionReader> SectionReader::Parse(std::vector<uint8_t> bytes) {
 
 Result<SectionReader> SectionReader::Open(const std::string& path,
                                           storage::PageManager* pager) {
-  auto bytes = ReadFileBytes(path);
+  auto bytes = ReadAllBytes(path);
   if (!bytes.ok()) return bytes.status();
   auto reader = Parse(std::move(*bytes));
   if (!reader.ok()) return reader.status();
@@ -473,6 +482,9 @@ Result<ByteReader> SectionReader::Find(uint32_t tag) const {
 // -------------------------------------------------------------------------
 
 void EncodeSummary(const TrajectorySummary& summary, ByteWriter* out) {
+  const size_t start = out->size();
+  const size_t bytes = EncodedSummaryBytes(summary);
+  out->Reserve(start + bytes);
   out->WriteU32(kSummaryFormatVersion);
   out->WriteI32(summary.prediction_order());
   out->WriteU8(summary.has_cqc() ? 1 : 0);
@@ -488,13 +500,15 @@ void EncodeSummary(const TrajectorySummary& summary, ByteWriter* out) {
     EncodeCodebook(codebook, out);
   }
 
-  out->WriteU64(summary.coefficients().size());
-  for (const auto& [tick, partitions] : summary.coefficients()) {
-    out->WriteI32(tick);
-    out->WriteU64(partitions.size());
-    for (const auto& coeffs : partitions) {
-      out->WriteU64(coeffs.coefficients.size());
-      for (const double c : coeffs.coefficients) out->WriteF64(c);
+  const CoefficientTable& table = summary.coefficients();
+  out->WriteU64(table.NumTicks());
+  for (size_t i = 0; i < table.NumTicks(); ++i) {
+    out->WriteI32(table.TickAt(i));
+    out->WriteU64(table.NumSets(i));
+    for (size_t p = 0; p < table.NumSets(i); ++p) {
+      const CoefficientTable::Set set = table.SetAt(i, p);
+      out->WriteU64(set.size);
+      for (size_t c = 0; c < set.size; ++c) out->WriteF64(set.values[c]);
     }
   }
 
@@ -503,13 +517,16 @@ void EncodeSummary(const TrajectorySummary& summary, ByteWriter* out) {
     out->WriteI32(id);
     out->WriteI32(record.start_tick);
     out->WriteU64(record.points.size());
+    uint8_t* dst = out->Extend(record.points.size() * kPointRecordBytes);
     for (const PointRecord& pr : record.points) {
-      out->WriteI32(pr.partition);
-      out->WriteI32(pr.codeword);
-      out->WriteU64(pr.cqc.bits);
-      out->WriteI32(pr.cqc.length);
+      StoreU32LE(dst, static_cast<uint32_t>(pr.partition));
+      StoreU32LE(dst + 4, static_cast<uint32_t>(pr.codeword));
+      StoreU64LE(dst + 8, pr.cqc.bits);
+      StoreU32LE(dst + 16, static_cast<uint32_t>(pr.cqc.length));
+      dst += kPointRecordBytes;
     }
   }
+  assert(out->size() - start == bytes);
 }
 
 Result<TrajectorySummary> DecodeSummary(ByteReader* in) {
@@ -556,7 +573,7 @@ Result<TrajectorySummary> LoadSummary(const std::string& path) {
     return Status::Invalid("not a PPQ summary file: " + path);
   }
 
-  auto bytes = ReadFileBytes(path);
+  auto bytes = ReadAllBytes(path);
   if (!bytes.ok()) return bytes.status();
 
   // Version gate on the magic: legacy v1 flat files stay readable. The

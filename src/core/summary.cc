@@ -1,6 +1,7 @@
 #include "core/summary.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 
@@ -14,6 +15,18 @@ TrajectoryRecord& TrajectorySummary::GetOrCreate(TrajId id, Tick start) {
     it = records_.emplace(id, std::move(record)).first;
   }
   return it->second;
+}
+
+void CoefficientTable::Append(
+    Tick t, const std::vector<predictor::PredictionCoefficients>& sets) {
+  assert(ticks_.empty() || t > ticks_.back());
+  ticks_.push_back(t);
+  for (const predictor::PredictionCoefficients& set : sets) {
+    values_.insert(values_.end(), set.coefficients.begin(),
+                   set.coefficients.end());
+    first_value_.push_back(values_.size());
+  }
+  first_set_.push_back(first_value_.size() - 1);
 }
 
 TrajectorySummary TrajectorySummary::SnapshotCopy() const {
@@ -62,8 +75,9 @@ Status TrajectorySummary::ExtendPrefix(const TrajectoryRecord& record,
   const size_t order =
       prediction_order_ > 0 ? static_cast<size_t>(prediction_order_) : 0;
   Tick tick = record.start_tick + static_cast<Tick>(memo.size());
-  // One walk over the coefficient map, advanced with the tick.
-  auto cit = coefficients_.lower_bound(tick);
+  // One walk over the coefficient table, advanced with the tick.
+  const CoefficientTable& table = coefficients_;
+  size_t ti = table.LowerBound(tick);
   for (; memo.size() < needed; ++tick) {
     const PointRecord& pr = record.points[memo.size()];
 
@@ -71,15 +85,17 @@ Status TrajectorySummary::ExtendPrefix(const TrajectoryRecord& record,
     // `order` points of the prefix.
     Point prediction{0.0, 0.0};
     if (pr.partition >= 0) {
-      while (cit != coefficients_.end() && cit->first < tick) ++cit;
-      if (cit == coefficients_.end() || cit->first != tick ||
-          static_cast<size_t>(pr.partition) >= cit->second.size()) {
+      while (ti < table.NumTicks() && table.TickAt(ti) < tick) ++ti;
+      if (ti == table.NumTicks() || table.TickAt(ti) != tick ||
+          static_cast<size_t>(pr.partition) >= table.NumSets(ti)) {
         return Status::Internal("missing coefficients for tick/partition");
       }
+      const CoefficientTable::Set set =
+          table.SetAt(ti, static_cast<size_t>(pr.partition));
       const size_t history = std::min(order, memo.size());
       prediction = predictor::LinearPredictor::PredictFromTail(
-          cit->second[static_cast<size_t>(pr.partition)],
-          memo.data() + (memo.size() - history), history);
+          set.values, set.size, memo.data() + (memo.size() - history),
+          history);
     }
 
     // Codeword (Equation 4).
@@ -194,21 +210,27 @@ SummarySize TrajectorySummary::Size() const {
   size_t index_bits = 0;
   size_t partition_bits = 0;
   size_t cqc_bits = 0;
-  // Widest partition id seen, per tick.
-  std::map<Tick, int> partition_widths;
-  for (const auto& [tick, coeffs] : coefficients_) {
-    size_t q = coeffs.size();
+  // Partition tag width per coefficient tick index: enough bits for the
+  // tick's partition count.
+  const CoefficientTable& table = coefficients_;
+  std::vector<int> partition_widths(table.NumTicks());
+  for (size_t i = 0; i < table.NumTicks(); ++i) {
     int bits = 1;
-    while ((size_t{1} << bits) < q) ++bits;
-    partition_widths[tick] = bits;
+    while ((size_t{1} << bits) < table.NumSets(i)) ++bits;
+    partition_widths[i] = bits;
   }
+  const bool per_tick_codebooks = !tick_codebooks_.empty();
+  const int global_index_bits = codebook_.BitsPerIndex();
   for (const auto& [id, record] : records_) {
+    // Points are tick-consecutive, so each record walks the tick array once.
+    size_t ti = table.LowerBound(record.start_tick);
     for (size_t i = 0; i < record.points.size(); ++i) {
       const Tick tick = record.start_tick + static_cast<Tick>(i);
-      index_bits += static_cast<size_t>(CodebookAt(tick).BitsPerIndex());
-      const auto wit = partition_widths.find(tick);
-      if (wit != partition_widths.end()) {
-        partition_bits += static_cast<size_t>(wit->second);
+      index_bits += static_cast<size_t>(
+          per_tick_codebooks ? CodebookAt(tick).BitsPerIndex()
+                             : global_index_bits);
+      if (ti < table.NumTicks() && table.TickAt(ti) == tick) {
+        partition_bits += static_cast<size_t>(partition_widths[ti++]);
       }
       if (has_cqc_) {
         cqc_bits += static_cast<size_t>(record.points[i].cqc.length);
@@ -220,11 +242,7 @@ SummarySize TrajectorySummary::Size() const {
   size.cqc_bytes = (cqc_bits + 7) / 8;
 
   // Coefficients: 8 bytes each, q_t * k per tick.
-  size_t coeff_count = 0;
-  for (const auto& [tick, coeffs] : coefficients_) {
-    for (const auto& c : coeffs) coeff_count += c.coefficients.size();
-  }
-  size.coefficient_bytes = coeff_count * sizeof(double);
+  size.coefficient_bytes = table.NumValues() * sizeof(double);
 
   // Per-trajectory header (id, start tick, length) + CQC template.
   size.metadata_bytes = records_.size() * (sizeof(TrajId) + 2 * sizeof(Tick));

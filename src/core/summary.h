@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -79,6 +81,54 @@ struct DecodeMemo {
   }
 };
 
+/// \brief The prediction coefficients {P_j[t]} of every (tick, partition)
+/// in four tick-sorted flat arrays: the ticks, each tick's first set, each
+/// set's first value, and the values. The two offset arrays end in a
+/// sentinel. A seal copies four vectors, and a decode walks an index
+/// instead of tree nodes.
+class CoefficientTable {
+ public:
+  /// One coefficient set: values[j-1] multiplies the reconstruction at t-j.
+  struct Set {
+    const double* values;
+    size_t size;
+  };
+
+  /// Append tick \p t's sets, one per partition. \p t must exceed every
+  /// stored tick.
+  void Append(Tick t,
+              const std::vector<predictor::PredictionCoefficients>& sets);
+
+  size_t NumTicks() const { return ticks_.size(); }
+  Tick TickAt(size_t i) const { return ticks_[i]; }
+  /// Index of the first stored tick at or after \p t (NumTicks() if none).
+  size_t LowerBound(Tick t) const {
+    return static_cast<size_t>(
+        std::lower_bound(ticks_.begin(), ticks_.end(), t) - ticks_.begin());
+  }
+  /// Index of tick \p t, or NumTicks() when it is not stored.
+  size_t Find(Tick t) const {
+    const size_t i = LowerBound(t);
+    return i < ticks_.size() && ticks_[i] == t ? i : ticks_.size();
+  }
+  /// Partitions fitted at the tick of index \p i.
+  size_t NumSets(size_t i) const { return first_set_[i + 1] - first_set_[i]; }
+  /// Set of partition \p p at the tick of index \p i (p < NumSets(i)).
+  Set SetAt(size_t i, size_t p) const {
+    const size_t s = first_set_[i] + p;
+    return {values_.data() + first_value_[s],
+            first_value_[s + 1] - first_value_[s]};
+  }
+  /// Coefficients stored over all sets.
+  size_t NumValues() const { return values_.size(); }
+
+ private:
+  std::vector<Tick> ticks_;             ///< ascending
+  std::vector<size_t> first_set_{0};    ///< per tick, into first_value_
+  std::vector<size_t> first_value_{0};  ///< per set, into values_
+  std::vector<double> values_;
+};
+
 /// \brief The complete decodable summary.
 class TrajectorySummary {
  public:
@@ -93,10 +143,11 @@ class TrajectorySummary {
   /// Ensure a record exists for trajectory \p id starting at \p start.
   TrajectoryRecord& GetOrCreate(TrajId id, Tick start);
 
-  /// Store the fitted coefficients for (tick, partition).
-  void SetCoefficients(Tick t,
-                       std::vector<predictor::PredictionCoefficients> coeffs) {
-    coefficients_[t] = std::move(coeffs);
+  /// Store tick \p t's fitted coefficients, one set per partition. \p t
+  /// must exceed every tick already stored (the encoder's tick order).
+  void SetCoefficients(
+      Tick t, const std::vector<predictor::PredictionCoefficients>& coeffs) {
+    coefficients_.Append(t, coeffs);
   }
 
   quantizer::Codebook* mutable_codebook() { return &codebook_; }
@@ -165,12 +216,9 @@ class TrajectorySummary {
   /// summed per-tick codebook sizes in fixed mode.
   size_t NumCodewords() const;
 
-  /// The stored prediction coefficients, keyed by tick (one entry per
-  /// partition). Exposed for forecasting and introspection.
-  const std::map<Tick, std::vector<predictor::PredictionCoefficients>>&
-  coefficients() const {
-    return coefficients_;
-  }
+  /// The stored prediction coefficients, one set per (tick, partition).
+  /// Exposed for serialization and forecasting.
+  const CoefficientTable& coefficients() const { return coefficients_; }
 
   /// Size accounting; see SummarySize.
   SummarySize Size() const;
@@ -189,7 +237,7 @@ class TrajectorySummary {
   std::optional<cqc::CqcCodec> codec_;
   quantizer::Codebook codebook_;
   std::map<Tick, quantizer::Codebook> tick_codebooks_;
-  std::map<Tick, std::vector<predictor::PredictionCoefficients>> coefficients_;
+  CoefficientTable coefficients_;
   std::map<TrajId, TrajectoryRecord> records_;
 
   /// Internal memo backing the single-threaded convenience decode path.

@@ -289,8 +289,9 @@ void GridIndex::SaveTo(ByteWriter* out) const {
       for (size_t l = first; l < last; ++l) {
         out->WriteI32(ticks_[lists[l].tick].tick);
         out->WriteU64(lists[l].next - lists[l].pos);
-        for (size_t pos = lists[l].pos; pos < lists[l].next; ++pos) {
-          out->WriteI32(raw_[pos].id);
+        uint8_t* dst = out->Extend(4 * (lists[l].next - lists[l].pos));
+        for (size_t pos = lists[l].pos; pos < lists[l].next; ++pos, dst += 4) {
+          StoreU32LE(dst, static_cast<uint32_t>(raw_[pos].id));
         }
       }
       out->WriteU64(0);  // no packed lists

@@ -44,12 +44,12 @@ Point LinearPredictor::Predict(const PredictionCoefficients& coeffs,
   return prediction;
 }
 
-Point LinearPredictor::PredictFromTail(const PredictionCoefficients& coeffs,
+Point LinearPredictor::PredictFromTail(const double* coeffs, size_t order,
                                        const Point* recent, size_t count) {
   Point prediction{0.0, 0.0};
-  const size_t usable = std::min(coeffs.coefficients.size(), count);
+  const size_t usable = std::min(order, count);
   for (size_t j = 0; j < usable; ++j) {
-    prediction += recent[count - 1 - j] * coeffs.coefficients[j];
+    prediction += recent[count - 1 - j] * coeffs[j];
   }
   return prediction;
 }

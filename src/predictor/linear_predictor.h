@@ -62,11 +62,12 @@ class LinearPredictor {
   static Point Predict(const PredictionCoefficients& coeffs,
                        const std::vector<Point>& history);
 
-  /// Predict() over the tail of a reconstruction sequence stored oldest
-  /// first: history[j] is recent[count - 1 - j], so recent[count - 1] is
-  /// t-1. Same terms and summation order as Predict(). The decoder calls
-  /// it on its prefix, so no history vector is built per point.
-  static Point PredictFromTail(const PredictionCoefficients& coeffs,
+  /// Predict() with the \p order coefficients stored flat at \p coeffs,
+  /// over the tail of a reconstruction sequence stored oldest first:
+  /// history[j] is recent[count - 1 - j], so recent[count - 1] is t-1.
+  /// Same terms and summation order as Predict(). The decoder calls it on
+  /// its prefix and its coefficient table, so nothing is built per point.
+  static Point PredictFromTail(const double* coeffs, size_t order,
                                const Point* recent, size_t count);
 
  private:

@@ -96,6 +96,8 @@ LiveRepository::LiveRepository(CompressorFactory factory, Options options)
         registry.GetHistogram("ppq_ingest_append_micros", label);
     shard->flush_hist = registry.GetHistogram("ppq_ingest_flush_micros", label);
     shard->seal_hist = registry.GetHistogram("ppq_ingest_seal_micros", label);
+    shard->persist_hist =
+        registry.GetHistogram("ppq_ingest_persist_micros", label);
     shard->rotate_hist = registry.GetHistogram("ppq_wal_rotate_micros", label);
     shard->replay_hist =
         registry.GetHistogram("ppq_recovery_replay_micros", label);
@@ -296,6 +298,8 @@ void LiveRepository::SealShard(size_t index) {
   }
 
   if (!dir_.empty()) {
+    PPQ_ZONE_SHARD("ingest.persist", index);
+    ScopedHistogramTimer timer(shard.persist_hist);
     // Durability ordering: the WAL must be synced BEFORE the container
     // commit. The container's atomic rename is its commit point; once a
     // container covering tick <= cut is visible, every record that fed it

@@ -253,7 +253,7 @@ class LiveRepository : public core::ShardViewSource {
     core::ShardViewPtr view;
 
     /// This shard's index and its per-shard ingest/durability latency
-    /// series (`ppq_ingest_{append,flush,seal}_micros{shard="N"}`,
+    /// series (`ppq_ingest_{append,flush,seal,persist}_micros{shard="N"}`,
     /// `ppq_wal_rotate_micros{shard="N"}`,
     /// `ppq_recovery_replay_micros{shard="N"}`), resolved once in the
     /// constructor before the shard escapes. The metrics are internally
@@ -263,6 +263,7 @@ class LiveRepository : public core::ShardViewSource {
     obs::Histogram* append_hist = nullptr;
     obs::Histogram* flush_hist = nullptr;
     obs::Histogram* seal_hist = nullptr;
+    obs::Histogram* persist_hist = nullptr;
     obs::Histogram* rotate_hist = nullptr;
     obs::Histogram* replay_hist = nullptr;
   };

@@ -232,20 +232,24 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Create(
 Status WriteAheadLog::Append(uint64_t seal_epoch, const TimeSlice& slice) {
   PPQ_ZONE_SHARD("wal.append", shard_);
   const auto start = std::chrono::steady_clock::now();
-  ByteWriter payload;
-  payload.WriteU64(seal_epoch);
-  payload.WriteI32(slice.tick);
-  payload.WriteU32(static_cast<uint32_t>(slice.ids.size()));
-  for (size_t i = 0; i < slice.ids.size(); ++i) {
-    payload.WriteI32(slice.ids[i]);
-    payload.WriteF64(slice.positions[i].x);
-    payload.WriteF64(slice.positions[i].y);
+  // Frame (u32 length + u32 payload CRC) and payload in one buffer.
+  const size_t count = slice.ids.size();
+  const size_t length = kRecordFixedPayload + count * kBytesPerPoint;
+  std::vector<uint8_t> frame(8 + length);
+  uint8_t* const head = frame.data();
+  uint8_t* const payload = head + 8;
+  StoreU64LE(payload, seal_epoch);
+  StoreU32LE(payload + 8, static_cast<uint32_t>(slice.tick));
+  StoreU32LE(payload + 12, static_cast<uint32_t>(count));
+  uint8_t* dst = payload + kRecordFixedPayload;
+  for (size_t i = 0; i < count; ++i, dst += kBytesPerPoint) {
+    StoreU32LE(dst, static_cast<uint32_t>(slice.ids[i]));
+    StoreF64LE(dst + 4, slice.positions[i].x);
+    StoreF64LE(dst + 12, slice.positions[i].y);
   }
-  ByteWriter frame;
-  frame.WriteU32(static_cast<uint32_t>(payload.size()));
-  frame.WriteU32(Crc32(payload.buffer().data(), payload.size()));
-  frame.WriteBytes(payload.buffer().data(), payload.size());
-  Status status = file_.Append(frame.buffer().data(), frame.size());
+  StoreU32LE(head, static_cast<uint32_t>(length));
+  StoreU32LE(head + 4, Crc32(payload, length));
+  Status status = file_.Append(head, frame.size());
   append_hist_->Observe(MicrosSince(start));
   return status;
 }

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/geo.h"
+#include "common/serial.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -250,6 +257,136 @@ TEST(PercentileTest, InterpolatesBetweenRanks) {
   EXPECT_DOUBLE_EQ(Percentile(values, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(Percentile(values, 50.0), 2.5);
   EXPECT_DOUBLE_EQ(Percentile({}, 50.0), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 and the fixed-width codec (common/serial.h)
+// ---------------------------------------------------------------------------
+
+/// Byte-at-a-time reflected CRC-32, straight from the polynomial.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// Deterministic pseudo-random bytes (LCG high bytes).
+std::vector<uint8_t> NoiseBytes(size_t size) {
+  std::vector<uint8_t> bytes(size);
+  uint32_t x = 0x2545F491u;
+  for (uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(ReferenceCrc32(reinterpret_cast<const uint8_t*>("123456789"), 9),
+            0xCBF43926u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Start offsets 0-7 put the 8-byte words at every alignment; lengths up
+  // to 300 cover empty input, tails of 1-7 bytes and many whole words.
+  const std::vector<uint8_t> bytes = NoiseBytes(300 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                ReferenceCrc32(bytes.data() + offset, size))
+          << "offset " << offset << ", " << size << " bytes";
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingThroughSeedEqualsOneShot) {
+  const std::vector<uint8_t> bytes = NoiseBytes(300);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(ByteCodecTest, FixedWidthValuesRoundTripLittleEndian) {
+  const double nan = [] {
+    const uint64_t bits = 0x7FF8000000012345ULL;  // quiet NaN with payload
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  }();
+  const double denormal = [] {
+    const uint64_t bits = 0x000FEDCBA9876543ULL;
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  }();
+  ASSERT_EQ(std::fpclassify(denormal), FP_SUBNORMAL);
+
+  ByteWriter out;
+  out.WriteU32(0);
+  out.WriteU32(std::numeric_limits<uint32_t>::max());
+  out.WriteI32(std::numeric_limits<int32_t>::min());
+  out.WriteU64(std::numeric_limits<uint64_t>::max());
+  out.WriteU64(0x0102030405060708ULL);
+  out.WriteF64(-0.0);
+  out.WriteF64(nan);
+  out.WriteF64(denormal);
+  const std::vector<uint8_t> expected = {
+      0x00, 0x00, 0x00, 0x00,                          // 0
+      0xFF, 0xFF, 0xFF, 0xFF,                          // UINT32_MAX
+      0x00, 0x00, 0x00, 0x80,                          // INT32_MIN
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // UINT64_MAX
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // byte order
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x45, 0x23, 0x01, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // NaN payload
+      0x43, 0x65, 0x87, 0xA9, 0xCB, 0xED, 0x0F, 0x00,  // denormal
+  };
+  EXPECT_EQ(out.buffer(), expected);
+
+  const auto bits_of = [](double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+  };
+  ByteReader in(out.buffer());
+  EXPECT_EQ(*in.ReadU32(), 0u);
+  EXPECT_EQ(*in.ReadU32(), std::numeric_limits<uint32_t>::max());
+  EXPECT_EQ(*in.ReadI32(), std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(*in.ReadU64(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(*in.ReadU64(), 0x0102030405060708ULL);
+  EXPECT_EQ(bits_of(*in.ReadF64()), bits_of(-0.0));
+  EXPECT_EQ(bits_of(*in.ReadF64()), bits_of(nan));
+  EXPECT_EQ(bits_of(*in.ReadF64()), bits_of(denormal));
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(in.ReadU32().status().code(), StatusCode::kIOError);
+}
+
+TEST(ByteCodecTest, BlocksAndBytesStayInBounds) {
+  ByteWriter out;
+  out.WriteU8(0xAA);
+  StoreU32LE(out.Extend(4), 0xDDCCBBAAu);
+  out.WriteBytes("xyz", 3);
+  EXPECT_EQ(out.buffer(), (std::vector<uint8_t>{0xAA, 0xAA, 0xBB, 0xCC, 0xDD,
+                                                'x', 'y', 'z'}));
+
+  ByteReader in(out.buffer());
+  EXPECT_EQ(*in.ReadU8(), 0xAA);
+  auto block = in.Take(4);
+  ASSERT_TRUE(block.ok());
+  EXPECT_EQ(LoadU32LE(*block), 0xDDCCBBAAu);
+  char tail[3] = {};
+  ASSERT_TRUE(in.ReadBytes(tail, 3).ok());
+  EXPECT_EQ(std::string(tail, 3), "xyz");
+  EXPECT_TRUE(in.ReadBytes(nullptr, 0).ok());
+  EXPECT_EQ(in.Take(1).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(in.ReadBytes(tail, 1).code(), StatusCode::kIOError);
 }
 
 }  // namespace

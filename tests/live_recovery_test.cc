@@ -908,7 +908,8 @@ TEST(LiveRecoveryTest, ConcurrentDurableAppendsThenRecover) {
 
 TEST(LiveRecoveryTest, DurableIngestObservesEveryStage) {
   // Every write-path stage of every shard reports into its histogram:
-  // append, flush and seal, and the WAL's append, sync and rotate.
+  // append, flush, seal and persist, and the WAL's append, sync and
+  // rotate.
   const TrajectoryDataset data = SmallDataset();
   const std::string dir = FreshDir("stages_dir");
   LiveRepository::Options options;
@@ -920,8 +921,9 @@ TEST(LiveRecoveryTest, DurableIngestObservesEveryStage) {
 
   const char* const kStages[] = {
       "ppq_ingest_append_micros", "ppq_ingest_flush_micros",
-      "ppq_ingest_seal_micros",   "ppq_wal_append_micros",
-      "ppq_wal_sync_micros",      "ppq_wal_rotate_micros"};
+      "ppq_ingest_seal_micros",   "ppq_ingest_persist_micros",
+      "ppq_wal_append_micros",    "ppq_wal_sync_micros",
+      "ppq_wal_rotate_micros"};
   obs::Registry& registry = obs::Registry::Default();
   const auto counts = [&] {
     std::vector<uint64_t> out;

@@ -185,6 +185,89 @@ TEST(SnapshotCorruptionTest, EmptyAndTinyFilesFailCleanly) {
   std::remove(path.c_str());
 }
 
+/// A SUMM body (from the prediction order on, as the legacy v1 file and
+/// the v2 payload share it) with one one-coefficient set at each of
+/// \p ticks, in the given order, and one warm-up point that needs none.
+std::vector<uint8_t> SummaryBodyWithCoefficientTicks(
+    const std::vector<Tick>& ticks) {
+  ByteWriter body;
+  body.WriteI32(1);    // prediction order
+  body.WriteU8(0);     // no CQC
+  body.WriteU64(1);    // one codeword
+  body.WriteF64(0.0);
+  body.WriteF64(0.0);
+  body.WriteU64(0);    // no tick codebooks
+  body.WriteU64(ticks.size());
+  for (const Tick t : ticks) {
+    body.WriteI32(t);
+    body.WriteU64(1);  // one partition
+    body.WriteU64(1);  // one coefficient
+    body.WriteF64(1.0);
+  }
+  body.WriteU64(1);    // one record
+  body.WriteI32(0);    // id
+  body.WriteI32(0);    // start tick
+  body.WriteU64(1);    // one point
+  body.WriteI32(-1);   // warm-up partition
+  body.WriteI32(0);    // codeword
+  body.WriteU64(0);    // cqc bits
+  body.WriteI32(0);    // cqc length
+  return body.buffer();
+}
+
+TEST(SnapshotCorruptionTest, ForgedCoefficientTickOrderIsRejected) {
+  // The coefficient table is tick-sorted and no writer emits a tick twice
+  // or out of order, so a CRC-valid SUMM section that does is forged. It
+  // must fail in a PPQSNAP1 snapshot, in a summary container and in a
+  // legacy v1 file; the ascending row is the control.
+  struct Row {
+    const char* name;
+    std::vector<Tick> ticks;
+    bool valid;
+  };
+  const Row rows[] = {{"ascending", {2, 3, 5}, true},
+                      {"repeated", {2, 3, 3}, false},
+                      {"descending", {2, 5, 3}, false}};
+  const char legacy_magic[8] = {'P', 'P', 'Q', 'S', 'U', 'M', '0', '1'};
+  const std::string path = TempPath("forged_coefficients");
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::vector<uint8_t> body =
+        SummaryBodyWithCoefficientTicks(row.ticks);
+    const StatusCode want =
+        row.valid ? StatusCode::kOk : StatusCode::kInvalidArgument;
+
+    SectionWriter snapshot;
+    ByteWriter* meta = snapshot.AddSection(kSectionMeta);
+    meta->WriteU32(1);  // META version
+    meta->WriteU8(1);   // kind = PPQ summary
+    meta->WriteString("forged");
+    meta->WriteF64(0.0);  // local-search radius
+    meta->WriteU64(0);    // summary bytes
+    meta->WriteU64(1);    // codewords
+    ByteWriter* summ = snapshot.AddSection(kSectionSummary);
+    summ->WriteU32(kSummaryFormatVersion);
+    summ->WriteBytes(body.data(), body.size());
+    ASSERT_TRUE(snapshot.WriteFile(path).ok());
+    EXPECT_EQ(OpenSnapshot(path).status().code(), want) << "snapshot";
+
+    SectionWriter container;
+    ByteWriter* only = container.AddSection(kSectionSummary);
+    only->WriteU32(kSummaryFormatVersion);
+    only->WriteBytes(body.data(), body.size());
+    ASSERT_TRUE(container.WriteFile(path).ok());
+    EXPECT_EQ(LoadSummary(path).status().code(), want) << "container";
+
+    ByteWriter legacy;
+    legacy.WriteBytes(legacy_magic, sizeof(legacy_magic));
+    legacy.WriteU32(kLegacySummaryFormatVersion);
+    legacy.WriteBytes(body.data(), body.size());
+    WriteFileBytes(path, legacy.buffer());
+    EXPECT_EQ(LoadSummary(path).status().code(), want) << "legacy v1";
+  }
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------------------------
 // Crash-safe saves: a failed re-save must never destroy the valid file
 // -------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/serialization.h"
 #include "core/summary.h"
 
 namespace ppq::core {
@@ -267,6 +268,97 @@ TEST(SummaryTest, CorruptCodewordIndexIsInternalError) {
         {{-1, 0, {}}, {0, 1, {}}, {0, 1, {}}, {0, -1, {}}});
     for (Tick t = 1; t < 4; ++t) SetOneCoefficient(summary, t, 1.0);
     ExpectDecodeStopsAt(summary, {1.0, 1.5, 2.0});
+  }
+}
+
+std::vector<uint8_t> EncodedBytes(const TrajectorySummary& summary) {
+  ByteWriter out;
+  EncodeSummary(summary, &out);
+  return out.buffer();
+}
+
+TEST(SummaryTest, SnapshotCopyIgnoresLaterAppends) {
+  TrajectorySummary source = MakeTinySummary(false);
+  const TrajectorySummary copy = source.SnapshotCopy();
+  const std::vector<uint8_t> copied = EncodedBytes(copy);
+  std::vector<Point> decoded;
+  for (Tick t = 0; t < 3; ++t) decoded.push_back(*copy.Reconstruct(7, t));
+
+  // Extend every part of the source: a coefficient tick, a codeword, a
+  // point of trajectory 7 and a new trajectory.
+  SetOneCoefficient(source, 3, 2.0);
+  source.mutable_codebook()->Add({0.25, 0.0});
+  source.GetOrCreate(7, 0).points.push_back({0, 2, {}});
+  source.GetOrCreate(8, 3).points.push_back({-1, 1, {}});
+  ASSERT_EQ(source.Reconstruct(7, 3)->x, 4.25);
+
+  EXPECT_EQ(EncodedBytes(copy), copied);
+  EXPECT_EQ(copy.coefficients().NumTicks(), 2u);
+  EXPECT_EQ(copy.Reconstruct(7, 3).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(copy.Find(8), nullptr);
+  for (Tick t = 0; t < 3; ++t) {
+    const Point p = *copy.Reconstruct(7, t);
+    EXPECT_EQ(p.x, decoded[static_cast<size_t>(t)].x) << "t=" << t;
+    EXPECT_EQ(p.y, decoded[static_cast<size_t>(t)].y) << "t=" << t;
+  }
+}
+
+TEST(SummaryTest, RaggedCoefficientSetsRoundTrip) {
+  // Order-2 prediction with sets of 0, 1 and 2 coefficients side by side
+  // at one tick (a partition without samples keeps an empty set), and a
+  // tick (3) with no sets between ticks that have them.
+  TrajectorySummary summary(/*prediction_order=*/2, false, std::nullopt);
+  summary.mutable_codebook()->Add({1.0, 0.0});
+  summary.mutable_codebook()->Add({0.5, 0.25});
+  summary.mutable_codebook()->Add({-0.125, 1.0});
+  const auto set = [](std::vector<double> values) {
+    predictor::PredictionCoefficients coeffs;
+    coeffs.coefficients = std::move(values);
+    return coeffs;
+  };
+  summary.SetCoefficients(1, {set({1.0}), set({2.0, -1.0}), set({})});
+  summary.SetCoefficients(2, {set({0.5, 0.5}), set({1.0})});
+  summary.SetCoefficients(4, {set({1.5, -0.5}), set({}), set({0.75})});
+  summary.GetOrCreate(1, 0).points = {
+      {-1, 0, {}}, {0, 1, {}}, {0, 1, {}}, {-1, 2, {}}, {0, 1, {}}};
+  summary.GetOrCreate(2, 0).points = {
+      {-1, 0, {}}, {1, 2, {}}, {1, 0, {}}, {-1, 1, {}}, {2, 1, {}}};
+  summary.GetOrCreate(3, 1).points = {
+      {-1, 1, {}}, {0, 0, {}}, {-1, 2, {}}, {1, 2, {}}};
+
+  const std::vector<uint8_t> bytes = EncodedBytes(summary);
+  ByteReader in(bytes);
+  auto decoded = DecodeSummary(&in);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(EncodedBytes(*decoded), bytes);
+
+  const CoefficientTable& want = summary.coefficients();
+  const CoefficientTable& got = decoded->coefficients();
+  ASSERT_EQ(got.NumTicks(), 3u);
+  EXPECT_EQ(got.NumValues(), want.NumValues());
+  for (size_t i = 0; i < want.NumTicks(); ++i) {
+    EXPECT_EQ(got.TickAt(i), want.TickAt(i));
+    ASSERT_EQ(got.NumSets(i), want.NumSets(i)) << "tick " << want.TickAt(i);
+    for (size_t p = 0; p < want.NumSets(i); ++p) {
+      const CoefficientTable::Set a = want.SetAt(i, p);
+      const CoefficientTable::Set b = got.SetAt(i, p);
+      EXPECT_EQ(std::vector<double>(b.values, b.values + b.size),
+                std::vector<double>(a.values, a.values + a.size))
+          << "tick " << want.TickAt(i) << ", partition " << p;
+    }
+  }
+  for (const auto& [id, record] : summary.records()) {
+    for (Tick t = record.start_tick;
+         t < record.start_tick + static_cast<Tick>(record.points.size());
+         ++t) {
+      const auto a = summary.Reconstruct(id, t);
+      const auto b = decoded->Reconstruct(id, t);
+      ASSERT_TRUE(a.ok()) << "id " << id << ", t=" << t;
+      ASSERT_TRUE(b.ok()) << "id " << id << ", t=" << t;
+      EXPECT_EQ(b->x, a->x) << "id " << id << ", t=" << t;
+      EXPECT_EQ(b->y, a->y) << "id " << id << ", t=" << t;
+    }
   }
 }
 
