@@ -49,7 +49,8 @@ PpqTrajectory::PpqTrajectory(PpqOptions options)
       autocorr_({options.prediction_order, options.autocorr_feature}),
       predictor_(options.prediction_order),
       quantizer_(QuantizerOptions(options)),
-      tpi_(TpiOptions(options)) {}
+      tpi_(TpiOptions(options)),
+      decode_lineage_(NewDecodeLineage()) {}
 
 std::string PpqTrajectory::name() const {
   if (!options_.enable_prediction) return "Q-trajectory";
@@ -278,9 +279,9 @@ SnapshotPtr PpqTrajectory::Seal() const {
   if (options_.enable_index) {
     tpi = std::make_shared<const index::TemporalPartitionIndex>(tpi_);
   }
-  return std::make_shared<PpqSummarySnapshot>(name(), summary_.SnapshotCopy(),
-                                              std::move(tpi),
-                                              LocalSearchRadius());
+  return std::make_shared<PpqSummarySnapshot>(
+      name(), summary_.SnapshotCopy(), std::move(tpi), LocalSearchRadius(),
+      decode_lineage_);
 }
 
 std::unique_ptr<PpqTrajectory> MakeMethod(const std::string& name,

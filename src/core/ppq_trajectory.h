@@ -36,6 +36,13 @@ class PpqTrajectory : public Compressor {
  public:
   explicit PpqTrajectory(PpqOptions options);
 
+  /// Not copyable: two encoders must never carry one decode lineage. A
+  /// moved-from encoder may only be destroyed or assigned to.
+  PpqTrajectory(const PpqTrajectory&) = delete;
+  PpqTrajectory& operator=(const PpqTrajectory&) = delete;
+  PpqTrajectory(PpqTrajectory&&) = default;
+  PpqTrajectory& operator=(PpqTrajectory&&) = default;
+
   std::string name() const override;
   void ObserveSlice(const TimeSlice& slice) override;
   void Finish() override;
@@ -63,7 +70,8 @@ class PpqTrajectory : public Compressor {
 
   /// Seal the compressed form directly (summary + index deep copy) into a
   /// PpqSummarySnapshot — no materialization, memory stays at summary
-  /// scale. Re-sealable mid-stream: encoding continues untouched.
+  /// scale. Re-sealable mid-stream: encoding continues untouched. Every
+  /// seal carries this encoder's decode lineage.
   SnapshotPtr Seal() const override;
 
   const TrajectorySummary& summary() const { return summary_; }
@@ -105,6 +113,8 @@ class PpqTrajectory : public Compressor {
   double partition_seconds_ = 0.0;
   /// Largest |indexed reconstruction - raw| seen while encoding.
   double max_deviation_ = 0.0;
+  /// Drawn once at construction and stamped into every Seal().
+  uint64_t decode_lineage_;
 };
 
 /// Construct the named method family member (factory used by benches).

@@ -160,6 +160,10 @@ QueryService::QueryService(std::shared_ptr<const ShardViewSource> source,
                            Options options)
     : options_(std::move(options)),
       num_workers_(ResolveServingWorkers(options_.num_threads)),
+      lineage_resets_(obs::Registry::Default().GetCounter(
+          "ppq_serve_memo_resets_total", "cause=\"lineage\"")),
+      budget_resets_(obs::Registry::Default().GetCounter(
+          "ppq_serve_memo_resets_total", "cause=\"budget\"")),
       served_(std::move(source)),
       // The evaluator captures this; the dispatcher is declared last, so
       // it drains (and stops calling Evaluate) before any member dies.
@@ -216,7 +220,7 @@ void QueryService::Swap(std::shared_ptr<const ShardViewSource> source) {
   for (WorkerState& state : dispatcher_.worker_states()) {
     MutexLock lock(state.mu);
     state.memos.clear();
-    state.memo_seals.clear();
+    state.memo_lineages.clear();
   }
 }
 
@@ -241,20 +245,22 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
   }
   response.stats.seal_epoch = min_epoch;
 
-  // Re-tag decode scratch per shard: a memo survives appends (which keep
-  // the seal) and resets when its shard's seal changes.
-  if (state.memos.size() != num_shards) {
-    state.memos.clear();
-    state.memos.resize(num_shards);
-    state.memo_seals.assign(num_shards, {});
-  }
+  // Re-tag decode scratch per shard by decode lineage. One encoder's seals
+  // are prefix-stable: Codebook::Add and CoefficientTable::Append only
+  // append, and records only push_back, so the closed-loop prefix decoded
+  // under any seal of a lineage is the prefix under every other. A decode
+  // reads only memo entries below the serving record's length, so equal
+  // lineage is the whole rule, even for an older seal of the lineage.
+  state.memos.resize(num_shards);
+  state.memo_lineages.resize(num_shards, 0);
   for (size_t s = 0; s < num_shards; ++s) {
-    const SnapshotPtr& sealed = views[s]->sealed;
-    std::weak_ptr<const SummarySnapshot>& tag = state.memo_seals[s];
-    if (tag.owner_before(sealed) || sealed.owner_before(tag)) {
+    const uint64_t lineage = views[s]->sealed->decode_lineage();
+    if (state.memo_lineages[s] == lineage) continue;
+    if (!state.memos[s].prefix.empty()) {
       state.memos[s].Clear();
-      tag = sealed;
+      lineage_resets_->Increment();
     }
+    state.memo_lineages[s] = lineage;
   }
 
   eval::StageNanos stages;
@@ -396,6 +402,7 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
   }
   if (scratch_points > options_.scratch_budget_points) {
     for (DecodeMemo& memo : state.memos) memo.Clear();
+    budget_resets_->Increment();
   }
   return response;
 }

@@ -11,6 +11,7 @@
 #include "core/query_types.h"
 #include "core/shard_view.h"
 #include "core/snapshot.h"
+#include "obs/metrics.h"
 
 /// \file query_service.h
 /// The one asynchronous serving engine. QueryService accepts the unified
@@ -47,11 +48,13 @@
 ///    response never mixes two swaps' seals. A live source is pinned per
 ///    shard: shards roll independently, and per-point disjointness around
 ///    each shard's own cut keeps the union exact.
-///  - Workers keep one DecodeMemo per shard, tagged by a weak reference
-///    to the seal it indexes (ABA-safe: the weak reference keeps the
-///    control block alive). Workers therefore never keep a seal alive:
-///    the writer that retires a seal frees it. UpdateView still sweeps
-///    idle workers' memos so their memory goes at swap time.
+///  - Workers keep one DecodeMemo per shard, tagged by the decode
+///    lineage of the seal it was filled from (SummarySnapshot::
+///    decode_lineage). A memo survives every seal of one encoder and is
+///    cleared when its shard serves another lineage. Workers hold no
+///    reference to any seal: the writer that retires a seal frees it.
+///    UpdateView still sweeps idle workers' memos so their memory goes
+///    at swap time.
 ///  - Exact-mode verification data is OWNED by the service via
 ///    shared_ptr (Options::raw) and validated at construction and at
 ///    every UpdateView.
@@ -81,7 +84,7 @@ class QueryService {
     /// Per-worker decode-scratch budget across all shards: when a
     /// worker's memoised prefixes exceed this many points its scratch is
     /// cleared, bounding resident memory at (num_threads * budget *
-    /// sizeof(Point)).
+    /// sizeof(Point)). Memos outlive seals, so this is their only bound.
     size_t scratch_budget_points = size_t{1} << 22;
   };
 
@@ -138,15 +141,13 @@ class QueryService {
 
  private:
   /// Per-worker decode scratch: one memo per shard, each tagged by the
-  /// seal it indexes. The weak tag never keeps a seal alive; a shard's
-  /// memo survives appends and resets when that shard's seal changes.
-  /// The owning worker holds `mu` for each evaluation (uncontended in
-  /// steady state); UpdateView's sweep takes it too.
+  /// decode lineage it was filled under (0 = untagged). The owning worker
+  /// holds `mu` for each evaluation (uncontended in steady state);
+  /// UpdateView's sweep takes it too.
   struct WorkerState {
     Mutex mu;
     std::vector<DecodeMemo> memos PPQ_GUARDED_BY(mu);
-    std::vector<std::weak_ptr<const SummarySnapshot>> memo_seals
-        PPQ_GUARDED_BY(mu);
+    std::vector<uint64_t> memo_lineages PPQ_GUARDED_BY(mu);
   };
 
   /// Throws std::invalid_argument on a null source, a shard without a
@@ -159,6 +160,11 @@ class QueryService {
 
   Options options_;
   size_t num_workers_;
+  /// `ppq_serve_memo_resets_total{cause="lineage"|"budget"}`: non-empty
+  /// memos cleared because their shard changed lineage, and scratch
+  /// clears past the budget.
+  obs::Counter* lineage_resets_;
+  obs::Counter* budget_resets_;
   /// Accessed only through std::atomic_load/atomic_store (the C++17
   /// atomic-shared_ptr interface): UpdateView is one atomic exchange.
   std::shared_ptr<const ShardViewSource> served_;

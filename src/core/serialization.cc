@@ -675,9 +675,10 @@ Result<SnapshotPtr> OpenSnapshot(const std::string& path,
       if (!section->AtEnd()) {
         return Status::Invalid("snapshot: trailing bytes in SUMM section");
       }
+      // A reopened summary shares no memo with any live encoder.
       return SnapshotPtr(std::make_shared<PpqSummarySnapshot>(
           meta->name, std::move(*summary), std::move(tpi),
-          meta->local_search_radius));
+          meta->local_search_radius, NewDecodeLineage()));
     }
     case kKindMaterialized: {
       auto section = container->Find(kSectionPoints);

@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <utility>
@@ -9,6 +10,11 @@
 
 namespace ppq::core {
 
+uint64_t NewDecodeLineage() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
 // ---------------------------------------------------------------------------
 // PpqSummarySnapshot
 // ---------------------------------------------------------------------------
@@ -16,8 +22,9 @@ namespace ppq::core {
 PpqSummarySnapshot::PpqSummarySnapshot(
     std::string name, TrajectorySummary summary,
     std::shared_ptr<const index::TemporalPartitionIndex> tpi,
-    double local_search_radius)
-    : name_(std::move(name)),
+    double local_search_radius, uint64_t decode_lineage)
+    : SummarySnapshot(decode_lineage),
+      name_(std::move(name)),
       summary_(std::move(summary)),
       tpi_(std::move(tpi)),
       local_search_radius_(local_search_radius),
@@ -53,7 +60,8 @@ MaterializedSnapshot::MaterializedSnapshot(
     std::string name, std::map<TrajId, TrajectoryPoints> points,
     std::shared_ptr<const index::TemporalPartitionIndex> tpi,
     double local_search_radius, size_t summary_bytes, size_t num_codewords)
-    : name_(std::move(name)),
+    : SummarySnapshot(NewDecodeLineage()),
+      name_(std::move(name)),
       points_(std::move(points)),
       tpi_(std::move(tpi)),
       local_search_radius_(local_search_radius),

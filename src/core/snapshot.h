@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,11 +43,22 @@ class SummarySnapshot;
 /// writer drops its reference on re-seal, and the last reader frees it.
 using SnapshotPtr = std::shared_ptr<const SummarySnapshot>;
 
+/// A fresh decode lineage: process-unique and non-zero, drawn from one
+/// atomic counter (see SummarySnapshot::decode_lineage).
+uint64_t NewDecodeLineage();
+
 /// \brief Immutable sealed view of a compressed method, ready to serve
 /// queries concurrently.
 class SummarySnapshot {
  public:
   virtual ~SummarySnapshot() = default;
+
+  /// \brief The identity of the encoder state this snapshot decodes:
+  /// snapshots with equal lineages decode every (id, tick) they share to
+  /// the same point, so they may share one DecodeMemo. Every seal of one
+  /// PpqTrajectory carries that encoder's lineage; every other snapshot
+  /// (a materialized seal, a reopened container) carries a fresh one.
+  uint64_t decode_lineage() const { return decode_lineage_; }
 
   /// Method name as printed in the paper's tables.
   virtual std::string name() const = 0;
@@ -99,6 +111,13 @@ class SummarySnapshot {
   /// through it so pages_written reflects the on-disk footprint.
   virtual Status Save(const std::string& path,
                       storage::PageManager* pager = nullptr) const = 0;
+
+ protected:
+  explicit SummarySnapshot(uint64_t decode_lineage)
+      : decode_lineage_(decode_lineage) {}
+
+ private:
+  uint64_t decode_lineage_;
 };
 
 /// \brief Snapshot of a PPQ-family method: deep copies of the decodable
@@ -107,9 +126,11 @@ class SummarySnapshot {
 /// form, using only the caller's scratch — memory stays at summary scale.
 class PpqSummarySnapshot final : public SummarySnapshot {
  public:
+  /// \p decode_lineage is the sealing encoder's, or NewDecodeLineage()
+  /// for a summary of unknown provenance (a reopened container).
   PpqSummarySnapshot(std::string name, TrajectorySummary summary,
                      std::shared_ptr<const index::TemporalPartitionIndex> tpi,
-                     double local_search_radius);
+                     double local_search_radius, uint64_t decode_lineage);
 
   std::string name() const override { return name_; }
   Result<Point> Reconstruct(TrajId id, Tick t,

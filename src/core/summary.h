@@ -69,6 +69,11 @@ struct SummarySize {
 /// DecodeMemo is what makes concurrent reconstruction over one shared
 /// (immutable) summary safe: with an external memo the decode path only
 /// reads the summary's maps.
+///
+/// Sharing contract: only summaries of one decode lineage (the seals of
+/// one encoder, SummarySnapshot::decode_lineage) may share a memo. Their
+/// records, codebooks and coefficients only ever grow, so a prefix
+/// decoded under one of them is the prefix under any other.
 struct DecodeMemo {
   std::map<TrajId, std::vector<Point>> prefix;
 

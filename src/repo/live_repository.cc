@@ -444,21 +444,24 @@ uint64_t LiveRepository::MinSealEpoch() const {
 
 namespace {
 
-/// Move the shard's active log to the next free generation slot for the
-/// epoch its records were written under. Repeated crash/open cycles at
-/// the same epoch each retire another file, hence the seq counter —
-/// creation order equals (epoch, seq) order, which is replay order.
-Status RetireActiveLog(const std::string& dir, uint32_t index,
-                       uint64_t retired_epoch) {
-  auto gens = ListWalGenerations(dir, index);
-  if (!gens.ok()) return gens.status();
+/// The first free generation seq for \p epoch in a directory listing.
+/// Repeated crash/open cycles at the same epoch each retire another file,
+/// hence the seq counter — creation order equals (epoch, seq) order,
+/// which is replay order.
+uint32_t NextWalSeq(const std::vector<WalGenerationFile>& gens,
+                    uint64_t epoch) {
   uint32_t seq = 0;
-  for (const WalGenerationFile& gen : *gens) {
-    if (gen.epoch == retired_epoch && gen.seq >= seq) seq = gen.seq + 1;
+  for (const WalGenerationFile& gen : gens) {
+    if (gen.epoch == epoch && gen.seq >= seq) seq = gen.seq + 1;
   }
-  return RenameFile(
-      dir + "/" + WalFileName(index),
-      dir + "/" + WalGenerationFileName(index, retired_epoch, seq));
+  return seq;
+}
+
+/// Move the shard's active log to generation slot (epoch, seq).
+Status RetireActiveLog(const std::string& dir, uint32_t index,
+                       uint64_t epoch, uint32_t seq) {
+  return RenameFile(dir + "/" + WalFileName(index),
+                    dir + "/" + WalGenerationFileName(index, epoch, seq));
 }
 
 }  // namespace
@@ -508,7 +511,9 @@ Status LiveRepository::RotateWalLocked(uint32_t index, Shard& shard,
   PPQ_RETURN_NOT_OK(shard.wal->Close());
   shard.wal.reset();
   shard.wal_unsynced = 0;
-  PPQ_RETURN_NOT_OK(RetireActiveLog(dir_, index, shard.epoch - 1));
+  PPQ_RETURN_NOT_OK(
+      RetireActiveLog(dir_, index, shard.epoch - 1, shard.wal_next_seq));
+  shard.wal_next_seq = 0;  // the fresh log opens a new epoch
   WalHeader header;
   header.shard = index;
   header.seal_epoch = shard.epoch;
@@ -610,6 +615,7 @@ Status LiveRepository::RecoverShard(uint32_t index, core::SnapshotPtr base) {
   }
   shard.flushed = std::max(shard.flushed, covered);
   shard.epoch = max_epoch;
+  shard.wal_next_seq = NextWalSeq(*gens, max_epoch);
   {
     const core::ShardViewPtr old =
         std::atomic_load_explicit(&shard.view, std::memory_order_acquire);
@@ -641,7 +647,9 @@ Status LiveRepository::RecoverShard(uint32_t index, core::SnapshotPtr base) {
             ->Increment();
         PPQ_RETURN_NOT_OK(TruncateFile(active, active_valid_bytes));
       }
-      PPQ_RETURN_NOT_OK(RetireActiveLog(dir_, index, active_epoch));
+      const uint32_t seq = NextWalSeq(*gens, active_epoch);
+      PPQ_RETURN_NOT_OK(RetireActiveLog(dir_, index, active_epoch, seq));
+      if (active_epoch == max_epoch) shard.wal_next_seq = seq + 1;
     }
   }
   WalHeader header;

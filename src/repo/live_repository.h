@@ -239,6 +239,9 @@ class LiveRepository : public core::ShardViewSource {
     /// memory-only) and its group-commit counter.
     std::unique_ptr<WriteAheadLog> wal PPQ_GUARDED_BY(mu);
     size_t wal_unsynced PPQ_GUARDED_BY(mu) = 0;
+    /// The generation seq the active log retires to: seeded by recovery
+    /// from the directory listing, 0 again at each new epoch.
+    uint32_t wal_next_seq PPQ_GUARDED_BY(mu) = 0;
     /// Mirrors view->seal_epoch (plain field so Append can stamp WAL
     /// records without an atomic view load).
     uint64_t epoch PPQ_GUARDED_BY(mu) = 0;
@@ -292,8 +295,8 @@ class LiveRepository : public core::ShardViewSource {
   /// from the reopened seal, replay this shard's logs, rotate the old
   /// active log out, start a fresh one.
   Status RecoverShard(uint32_t index, core::SnapshotPtr base);
-  /// Retire the active log to the next free generation name and start a
-  /// fresh log at the current epoch/frontier.
+  /// Retire the active log to generation (epoch - 1, wal_next_seq) and
+  /// start a fresh log at the current epoch/frontier.
   Status RotateWalLocked(uint32_t index, Shard& shard, Tick sealed_through)
       PPQ_REQUIRES(shard.mu);
   void RecordDurabilityError(const Status& status)

@@ -607,6 +607,70 @@ TEST(LiveRecoveryTest, GenerationListingIgnoresLookalikeNames) {
   EXPECT_EQ((*gens)[0].seq, 0u);
 }
 
+TEST(LiveRecoveryTest, RotationsAfterReopensNameGenerationsDensely) {
+  // Close-and-reopen cycles at one epoch (no seal in between) each retire
+  // the active log under epoch 0; rotations then retire one log per
+  // epoch. Per shard and epoch, generation seqs are dense from 0 — the
+  // names a directory listing at each retirement would pick.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  const std::string dir = FreshDir("dense_generations_dir");
+  LiveRepository::Options options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  options.watermark_ticks = 0;
+  options.watermark_points = 0;
+  options.wal_sync_interval = 1;
+
+  const auto ingest = [&](LiveRepository& live, Tick begin, Tick end) {
+    for (Tick t = begin; t < end; ++t) {
+      const PointBatch batch = data->BatchAt(t);
+      if (!batch.empty()) {
+        ASSERT_TRUE(live.Append(batch).ok());
+      }
+    }
+  };
+  const Tick lo = data->MinTick() + 5;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    auto opened = LiveRepository::Open(dir, PpqAFactory(), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const Tick begin = cycle == 0 ? data->MinTick() : lo + 3 * (cycle - 1);
+    ingest(**opened, begin, lo + 3 * cycle);
+    if (cycle < 3) continue;  // close without a seal
+    for (int roll = 0; roll < 3; ++roll) {
+      const Tick from = lo + 9 + 4 * roll;
+      ingest(**opened, from, from + 4);
+      (*opened)->RollAll();
+      (*opened)->Quiesce();
+    }
+    EXPECT_TRUE((*opened)->DurabilityError().ok());
+  }
+
+  auto reopened = OpenLiveRepository(dir, PpqAFactory(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  const auto live = *reopened;
+  ingest(*live, lo + 21, data->MaxTick());
+  live->RollAll();
+  live->Quiesce();
+  EXPECT_TRUE(live->DurabilityError().ok());
+
+  // Three reopens retire epoch 0's logs as seqs 0-2, the first rotation
+  // retires seq 3, the next two rotations one log each at epochs 1 and 2;
+  // the last reopen retires epoch 3's log and its rotation seq 1.
+  const std::vector<std::pair<uint64_t, uint32_t>> expected = {
+      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 0}, {2, 0}, {3, 0}, {3, 1}};
+  for (uint32_t shard = 0; shard < options.num_shards; ++shard) {
+    auto gens = ListWalGenerations(dir, shard);
+    ASSERT_TRUE(gens.ok()) << gens.status().message();
+    std::vector<std::pair<uint64_t, uint32_t>> named;
+    for (const WalGenerationFile& gen : *gens) {
+      named.emplace_back(gen.epoch, gen.seq);
+    }
+    EXPECT_EQ(named, expected) << "shard " << shard;
+  }
+  EXPECT_EQ(live->TotalPointsAppended(), PointsThrough(*data, data->MaxTick()));
+  ExpectExactParity(live, data, data->MaxTick(), /*query_seed=*/12);
+}
+
 TEST(LiveRecoveryTest, FailedWalSyncSkipsTheContainerCommit) {
   // The log must durably cover the cut BEFORE the container commits; a
   // failed covering sync must leave the previous container in place, or a

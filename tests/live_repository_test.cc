@@ -14,11 +14,13 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
 #include "core/query_service.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 /// \file live_repository_test.cc
@@ -574,6 +576,101 @@ TEST(LiveRepositoryTest, RollFreesTheRetiredSealWithoutTraffic) {
   ASSERT_NE(live->ShardView(0)->sealed, retired);
   // No further traffic: this handle is the last reference.
   EXPECT_EQ(retired.use_count(), 1);
+}
+
+// -------------------------------------------------------------------------
+// Decode memos outlive seals: one encoder per shard, one lineage
+// -------------------------------------------------------------------------
+
+TEST(LiveRepositoryTest, WarmMemosAcrossSealsMatchAFreshService) {
+  // One worker serves a 4-shard repository through many seals and keeps
+  // its decode memos: every seal of a shard comes from that shard's one
+  // encoder. At each checked boundary, every request kind in every mode
+  // answers byte for byte like a service built just then over the same
+  // views, and exact answers equal ground truth.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  LiveRepository::Options options;
+  options.num_shards = 4;
+  options.num_threads = 1;
+  options.watermark_ticks = 3;
+  options.watermark_points = 0;
+  const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
+
+  QueryService::Options serve;
+  serve.num_threads = 1;
+  serve.raw = data;
+  serve.cell_size = CellSize();
+  QueryService service(live, serve);
+  obs::Counter* const lineage_resets = obs::Registry::Default().GetCounter(
+      "ppq_serve_memo_resets_total", "cause=\"lineage\"");
+  const uint64_t resets_before = lineage_resets->Value();
+
+  Rng rng(53);
+  const auto queries = SampleQueries(*data, 30, &rng);
+  const auto windows = test::SampleWindows(*data, 15, &rng);
+  size_t boundaries = 0;
+  for (Tick t = data->MinTick(); t < data->MaxTick(); ++t) {
+    const PointBatch batch = data->BatchAt(t);
+    if (!batch.empty()) {
+      ASSERT_TRUE(live->Append(batch).ok());
+    }
+    if ((t - data->MinTick()) % 4 != 3) continue;
+    // Let in-flight seals land, so both services see the same views.
+    live->Quiesce();
+
+    std::vector<core::QueryRequest> requests;
+    for (StrqMode mode : kAllModes) {
+      for (const QuerySpec& q : queries) {
+        if (q.tick > t) continue;
+        requests.push_back(StrqRequest{q, mode});
+        requests.push_back(core::TpqRequest{q, 8, mode});
+      }
+      for (const WindowSpec& w : windows) {
+        if (w.tick <= t) requests.push_back(WindowRequest{w, mode});
+      }
+    }
+    for (const QuerySpec& q : queries) {
+      if (q.tick <= t) requests.push_back(core::KnnRequest{q, 5});
+    }
+    if (requests.empty()) continue;
+
+    QueryService fresh(live, serve);
+    auto warm_futures = service.SubmitBatch(requests);
+    auto fresh_futures = fresh.SubmitBatch(requests);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const QueryResponse warm = warm_futures[i].get();
+      const QueryResponse cold = fresh_futures[i].get();
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(cold.ok());
+      EXPECT_EQ(warm.result, cold.result)
+          << "request " << i << " at frontier " << t;
+      std::vector<TrajId> truth;
+      std::vector<TrajId> exact;
+      if (const auto* r = std::get_if<StrqRequest>(&requests[i])) {
+        if (r->mode != StrqMode::kExact) continue;
+        truth = QueryEngine::GroundTruth(*data, r->query, CellSize());
+        exact = warm.strq().ids;
+      } else if (const auto* r = std::get_if<core::TpqRequest>(&requests[i])) {
+        if (r->mode != StrqMode::kExact) continue;
+        truth = QueryEngine::GroundTruth(*data, r->query, CellSize());
+        exact = warm.tpq().ids;
+      } else if (const auto* r = std::get_if<WindowRequest>(&requests[i])) {
+        if (r->mode != StrqMode::kExact) continue;
+        truth = QueryEngine::WindowGroundTruth(*data, r->window.window,
+                                               r->window.tick);
+        exact = warm.strq().ids;
+      } else {
+        continue;
+      }
+      EXPECT_EQ(SortedIds(exact), SortedIds(truth))
+          << "request " << i << " at frontier " << t;
+    }
+    ++boundaries;
+  }
+  EXPECT_GE(boundaries, 8u);
+  EXPECT_GE(live->MinSealEpoch(), 8u);
+  // Every seal a worker met came from its shard's one encoder.
+  EXPECT_EQ(lineage_resets->Value(), resets_before);
 }
 
 // -------------------------------------------------------------------------

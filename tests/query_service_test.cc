@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -386,6 +387,132 @@ TEST(QueryServiceConcurrencyTest, HotSwapReclaimsRetiredSealEagerly) {
   // seal A: the only remaining reference is this test's handle.
   service.UpdateView(seal_b);
   EXPECT_EQ(seal_a.use_count(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Decode memos: kept across one lineage, dropped across two, budgeted
+// ---------------------------------------------------------------------------
+
+obs::Counter* MemoResets(const char* cause) {
+  return obs::Registry::Default().GetCounter(
+      "ppq_serve_memo_resets_total", std::string("cause=\"") + cause + "\"");
+}
+
+/// Two shards whose seals are republished in place, the way a live
+/// repository republishes a view: the engine meets the new seal without an
+/// UpdateView sweep of its memos.
+class RepublishedViews final : public ShardViewSource {
+ public:
+  RepublishedViews(SnapshotPtr shard0, SnapshotPtr shard1) {
+    Publish(0, std::move(shard0));
+    Publish(1, std::move(shard1));
+  }
+  uint32_t num_shards() const override { return 2; }
+  ShardViewPtr ShardView(size_t shard) const override {
+    return std::atomic_load(&views_[shard]);
+  }
+  void Publish(size_t shard, SnapshotPtr seal) {
+    auto view = std::make_shared<core::ShardView>();
+    view->sealed = std::move(seal);
+    view->sealed_through = std::numeric_limits<Tick>::max();
+    std::atomic_store(&views_[shard], ShardViewPtr(std::move(view)));
+  }
+
+ private:
+  ShardViewPtr views_[2];
+};
+
+/// The trajectories of \p data whose id has parity \p parity.
+TrajectoryDataset IdParityHalf(const TrajectoryDataset& data, TrajId parity) {
+  TrajectoryDataset half;
+  for (const Trajectory& traj : data.trajectories()) {
+    if (traj.id % 2 == parity) half.Add(traj);
+  }
+  return half;
+}
+
+std::vector<QueryResponse> Answers(QueryService& service,
+                                   const std::vector<QueryRequest>& requests) {
+  std::vector<QueryResponse> responses;
+  for (auto& future : service.SubmitBatch(requests)) {
+    responses.push_back(future.get());
+    EXPECT_TRUE(responses.back().ok());
+  }
+  return responses;
+}
+
+TEST(QueryServiceTest, MemoDroppedWhenAShardChangesLineage) {
+  // Shard 0 switches from encoder A's seal to encoder B's, built with a
+  // coarser eps_1 over the same trajectories, so the two decode the same
+  // (id, tick) to different points. A worker whose memo was warmed on A
+  // must answer B's requests like a cold service.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  const TrajectoryDataset even = IdParityHalf(*data, 0);
+  const TrajectoryDataset odd = IdParityHalf(*data, 1);
+  const PpqOptions options = MakePpqA();
+  PpqOptions coarse = options;
+  coarse.epsilon1 *= 4;
+  PpqTrajectory a(options);
+  PpqTrajectory b(coarse);
+  PpqTrajectory c(options);
+  a.Compress(even);
+  b.Compress(even);
+  c.Compress(odd);
+  const auto source = std::make_shared<RepublishedViews>(a.Seal(), c.Seal());
+
+  Rng rng(43);
+  const auto requests = MakeRequests(SampleQueries(*data, 30, &rng),
+                                     test::SampleWindows(*data, 15, &rng));
+  QueryService::Options serve_options;
+  serve_options.num_threads = 1;
+  serve_options.raw = data;
+  serve_options.cell_size = options.tpi.pi.cell_size;
+  QueryService service(source, serve_options);
+  const std::vector<QueryResponse> on_a = Answers(service, requests);
+
+  obs::Counter* const lineage_resets = MemoResets("lineage");
+  const uint64_t resets_before = lineage_resets->Value();
+  source->Publish(0, b.Seal());
+  const std::vector<QueryResponse> warm = Answers(service, requests);
+  QueryService cold_service(source, serve_options);
+  const std::vector<QueryResponse> cold = Answers(cold_service, requests);
+  EXPECT_GT(lineage_resets->Value(), resets_before);
+
+  size_t changed = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(warm[i].result, cold[i].result) << "request " << i;
+    if (!(cold[i].result == on_a[i].result)) ++changed;
+  }
+  // The two encoders really decode differently.
+  EXPECT_GT(changed, 0u);
+}
+
+TEST(QueryServiceTest, ScratchBudgetClearsMemosWithoutChangingAnswers) {
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  PpqOptions options = MakePpqA();
+  PpqTrajectory method(options);
+  method.Compress(*data);
+  const QueryEngine engine(&method, data.get(), options.tpi.pi.cell_size);
+
+  Rng rng(47);
+  std::vector<QueryRequest> requests;
+  for (const QuerySpec& q : SampleQueries(*data, 40, &rng)) {
+    for (StrqMode mode : kAllModes) {
+      requests.push_back(TpqRequest{q, 16, mode});
+    }
+    requests.push_back(KnnRequest{q, kK});
+  }
+
+  QueryService::Options serve_options;
+  serve_options.num_threads = 2;
+  serve_options.raw = data;
+  serve_options.cell_size = options.tpi.pi.cell_size;
+  serve_options.scratch_budget_points = 48;
+  QueryService service(method.Seal(), serve_options);
+  obs::Counter* const budget_resets = MemoResets("budget");
+  const uint64_t resets_before = budget_resets->Value();
+  ExpectServiceMatchesSerial(service, engine, requests, "budget 48");
+  EXPECT_GT(budget_resets->Value(), resets_before);
 }
 
 // ---------------------------------------------------------------------------

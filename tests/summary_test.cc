@@ -1,10 +1,16 @@
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/trajstore.h"
+#include "core/ppq_trajectory.h"
 #include "core/serialization.h"
+#include "core/snapshot.h"
 #include "core/summary.h"
+#include "tests/test_util.h"
 
 namespace ppq::core {
 namespace {
@@ -360,6 +366,137 @@ TEST(SummaryTest, RaggedCoefficientSetsRoundTrip) {
       EXPECT_EQ(b->y, a->y) << "id " << id << ", t=" << t;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decode lineage: the invariant worker memos that outlive seals rest on
+// ---------------------------------------------------------------------------
+
+/// One MakeMethod family member, or "PPQ-A-fixed" for PPQ-A in
+/// kFixedPerTick mode (one fresh codebook per tick).
+std::unique_ptr<PpqTrajectory> MakeLineageEncoder(const std::string& name) {
+  if (name == "PPQ-A-fixed") {
+    PpqOptions options = MakePpqA();
+    options.mode = QuantizationMode::kFixedPerTick;
+    options.fixed_bits = 6;
+    return std::make_unique<PpqTrajectory>(options);
+  }
+  return MakeMethod(name, PpqOptions{});
+}
+
+/// Every trajectory's span [start, start + length) under \p seal, decoded
+/// through \p memo, where length is the record's length in \p spans_of.
+std::vector<std::vector<Point>> DecodeSpans(const SummarySnapshot& seal,
+                                            const PpqSummarySnapshot& spans_of,
+                                            DecodeMemo* memo) {
+  std::vector<std::vector<Point>> spans;
+  for (const auto& [id, record] : spans_of.summary().records()) {
+    std::vector<Point> span(record.points.size());
+    span.resize(seal.ReconstructSpan(id, record.start_tick, span.size(),
+                                     span.data(), memo));
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+bool SameBytes(const std::vector<Point>& a, const std::vector<Point>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Point)) == 0);
+}
+
+class SnapshotLineage : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SnapshotLineage, ConsecutiveSealsDecodeEqualPrefixes) {
+  // Seal one encoder every few ticks. Under every pair of consecutive
+  // seals N, N+1, each trajectory's span under N decodes to the same
+  // bytes under N+1, from a cold memo and from a memo warmed on N, and a
+  // memo warmed on N extends to N+1's full spans like a cold one.
+  const TrajectoryDataset data = test::MakePortoDataset({40, 50, 15, 50, 31});
+  const auto encoder = MakeLineageEncoder(GetParam());
+  std::vector<SnapshotPtr> seals;
+  for (Tick t = data.MinTick(); t < data.MaxTick(); ++t) {
+    const TimeSlice slice = data.SliceAt(t);
+    if (!slice.empty()) encoder->ObserveSlice(slice);
+    if ((t - data.MinTick()) % 4 == 3) seals.push_back(encoder->Seal());
+  }
+  encoder->Finish();
+  seals.push_back(encoder->Seal());
+  ASSERT_GE(seals.size(), 10u);
+
+  for (size_t n = 0; n + 1 < seals.size(); ++n) {
+    SCOPED_TRACE("seal " + std::to_string(n) + " -> " + std::to_string(n + 1));
+    const auto& older = dynamic_cast<const PpqSummarySnapshot&>(*seals[n]);
+    const auto& newer = dynamic_cast<const PpqSummarySnapshot&>(*seals[n + 1]);
+    ASSERT_NE(older.decode_lineage(), 0u);
+    ASSERT_EQ(older.decode_lineage(), newer.decode_lineage());
+
+    DecodeMemo warm;
+    const auto under_older = DecodeSpans(older, older, &warm);
+    DecodeMemo cold;
+    const auto under_newer = DecodeSpans(newer, older, &cold);
+    const auto under_newer_warm = DecodeSpans(newer, older, &warm);
+    ASSERT_EQ(under_newer.size(), under_older.size());
+    for (size_t i = 0; i < under_older.size(); ++i) {
+      EXPECT_TRUE(SameBytes(under_newer[i], under_older[i])) << "record " << i;
+      EXPECT_TRUE(SameBytes(under_newer_warm[i], under_older[i]))
+          << "record " << i;
+    }
+
+    DecodeMemo full_cold;
+    const auto full = DecodeSpans(newer, newer, &full_cold);
+    const auto full_warm = DecodeSpans(newer, newer, &warm);
+    ASSERT_EQ(full_warm.size(), full.size());
+    for (size_t i = 0; i < full.size(); ++i) {
+      EXPECT_TRUE(SameBytes(full_warm[i], full[i])) << "record " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MakeMethodFamily, SnapshotLineage,
+                         ::testing::Values("PPQ-A", "PPQ-A-basic", "PPQ-S",
+                                           "PPQ-S-basic", "E-PQ",
+                                           "Q-trajectory", "PPQ-A-fixed"));
+
+TEST(SnapshotLineageTest, OnlyOneEncodersSealsShareALineage) {
+  const TrajectoryDataset data = test::MakePortoDataset({20, 30, 10, 30, 3});
+  PpqTrajectory a(MakePpqA());
+  PpqTrajectory b(MakePpqA());
+  a.Compress(data);
+  b.Compress(data);
+  const SnapshotPtr a1 = a.Seal();
+  const SnapshotPtr a2 = a.Seal();
+  const SnapshotPtr b1 = b.Seal();
+  EXPECT_EQ(a1->decode_lineage(), a2->decode_lineage());
+  EXPECT_NE(a1->decode_lineage(), b1->decode_lineage());
+
+  // A moved encoder keeps its lineage.
+  const uint64_t lineage = a1->decode_lineage();
+  PpqTrajectory moved(std::move(a));
+  EXPECT_EQ(moved.Seal()->decode_lineage(), lineage);
+
+  // A reopened container never shares a lineage with a live encoder, nor
+  // do two opens of one file.
+  const std::string path = test::TempPath("lineage.snapshot");
+  ASSERT_TRUE(a1->Save(path).ok());
+  const auto reopened = OpenSnapshot(path);
+  const auto reopened_again = OpenSnapshot(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE(reopened_again.ok()) << reopened_again.status().ToString();
+  EXPECT_NE((*reopened)->decode_lineage(), 0u);
+  EXPECT_NE((*reopened)->decode_lineage(), lineage);
+  EXPECT_NE((*reopened)->decode_lineage(),
+            (*reopened_again)->decode_lineage());
+
+  // Materialized seals draw a fresh lineage each.
+  baselines::TrajStore::Options options;
+  options.region = {-9.0, 41.0, -8.0, 41.5};
+  baselines::TrajStore store(options);
+  store.Compress(data);
+  const SnapshotPtr m1 = store.Seal();
+  const SnapshotPtr m2 = store.Seal();
+  EXPECT_NE(m1->decode_lineage(), 0u);
+  EXPECT_NE(m1->decode_lineage(), m2->decode_lineage());
 }
 
 }  // namespace
